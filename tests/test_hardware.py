@@ -1,5 +1,9 @@
 """Unit tests for the node hardware models: memory, MMU, bus, CPU, params."""
 
+import gc
+import random
+import tracemalloc
+
 import pytest
 
 from repro.hardware import (
@@ -14,6 +18,7 @@ from repro.hardware import (
     PhysicalMemory,
     Protection,
 )
+from repro.node import Machine
 from repro.sim import Simulator, StatsRegistry, Timeout
 
 
@@ -30,13 +35,45 @@ def test_memory_size_must_be_whole_pages():
 
 def test_frame_allocation_and_exhaustion():
     mem = _memory(pages=2)
+    assert mem.free_frames == 2
     a = mem.alloc_frame()
     b = mem.alloc_frame()
     assert a != b
+    assert mem.free_frames == 0
     with pytest.raises(OutOfMemoryError):
         mem.alloc_frame()
     mem.free_frame(a)
+    assert mem.free_frames == 1
     assert mem.alloc_frame() == a
+    assert mem.free_frames == 0
+
+
+def test_allocation_order_matches_free_list_model():
+    # The allocation order is frozen to that of a free list popped from
+    # the end and appended to on free: the most recently freed frame
+    # first, then never-used frames ascending.  Every committed BENCH
+    # baseline depends on this order.
+    pages = 32
+    mem = _memory(pages=pages)
+    model_free = list(range(pages - 1, -1, -1))
+    held = []
+    rng = random.Random(1998)
+    for _ in range(2000):
+        if held and (not model_free or rng.random() < 0.45):
+            frame = held.pop(rng.randrange(len(held)))
+            mem.free_frame(frame)
+            model_free.append(frame)
+        elif rng.random() < 0.2 and len(model_free) >= 3:
+            frames = mem.alloc_frames(3)
+            assert frames == [model_free.pop() for _ in range(3)]
+            held.extend(frames)
+        else:
+            frame = mem.alloc_frame()
+            assert frame == model_free.pop()
+            held.append(frame)
+        assert mem.free_frames == len(model_free)
+        assert all(mem.is_allocated(f) for f in held)
+    assert not any(mem.is_allocated(f) for f in model_free)
 
 
 def test_double_free_rejected():
@@ -47,19 +84,65 @@ def test_double_free_rejected():
         mem.free_frame(frame)
 
 
+@pytest.mark.parametrize("frame", [-1, 8, 9])
+def test_out_of_range_frame_rejected(frame):
+    mem = _memory(pages=8)
+    allocated = mem.alloc_frames(8)
+    with pytest.raises(ValueError, match=f"frame {frame} out of range"):
+        mem.free_frame(frame)
+    with pytest.raises(ValueError, match=f"frame {frame} out of range"):
+        mem.is_allocated(frame)
+    # The rejected calls changed nothing: all 8 frames are still held and
+    # freeing one hands back that frame, never an out-of-range number.
+    assert mem.free_frames == 0
+    mem.free_frame(allocated[-1])
+    assert mem.alloc_frame() == allocated[-1]
+
+
 def test_freed_frame_is_zeroed():
     mem = _memory()
     frame = mem.alloc_frame()
-    mem.write(mem.frame_base(frame), b"secret")
+    base = mem.frame_base(frame)
+    mem.write(base, b"secret")
+    mem.write(base + 4090, b"tail")
     mem.free_frame(frame)
+    assert mem.read(base, 4096) == bytes(4096)
+    assert mem.read_page(frame) == bytes(4096)
     frame2 = mem.alloc_frame()
-    assert mem.read_page(frame2)[:6] == bytes(6)
+    assert frame2 == frame
+    assert mem.read_page(frame2) == bytes(4096)
+
+
+def test_unwritten_memory_reads_zero_and_costs_nothing():
+    mem = _memory()
+    assert mem.read(0, 16) == bytes(16)
+    assert mem.read(4000, 200) == bytes(200)  # spans frames 0 and 1
+    assert mem.read_page(7) == bytes(4096)
+    frame = mem.alloc_frame()
+    assert mem.read_page(frame) == bytes(4096)
+    assert not mem._pages
+    mem.write(4096 * 3 + 10, b"x")
+    assert sorted(mem._pages) == [3]
 
 
 def test_read_write_roundtrip():
-    mem = _memory()
-    mem.write(100, b"hello world")
-    assert mem.read(100, 11) == b"hello world"
+    cases = [
+        (100, b"hello world"),
+        (4090, bytes(range(1, 21))),  # spans frames 0 and 1
+        (4096 - 1, b"ab"),  # one byte on each side of the boundary
+        (1000, bytes(range(256)) * 36),  # 9216 bytes over frames 0-2
+    ]
+    for addr, payload in cases:
+        mem = _memory()
+        mem.write(addr, payload)
+        assert mem.read(addr, len(payload)) == payload
+        assert mem.read(addr - 1, 1) == b"\x00"
+        assert mem.read(addr + len(payload), 1) == b"\x00"
+        first, last = addr // 4096, (addr + len(payload) - 1) // 4096
+        assert sorted(mem._pages) == list(range(first, last + 1))
+        pages = b"".join(mem.read_page(f) for f in range(first, last + 1))
+        start = addr - first * 4096
+        assert pages[start : start + len(payload)] == payload
 
 
 def test_out_of_range_access_rejected():
@@ -68,12 +151,30 @@ def test_out_of_range_access_rejected():
         mem.read(4090, 10)
     with pytest.raises(ValueError):
         mem.write(-1, b"x")
+    with pytest.raises(ValueError):
+        mem.write(4096, b"x")
+    with pytest.raises(ValueError):
+        mem.read(0, -1)
+
+
+def test_zero_length_access_at_end_of_memory():
+    mem = _memory(pages=1)
+    assert mem.read(4096, 0) == b""
+    mem.write(4096, b"")
+    mem.write(100, b"")
+    assert not mem._pages
 
 
 def test_write_page_requires_full_page():
     mem = _memory()
     with pytest.raises(ValueError):
         mem.write_page(0, b"short")
+    with pytest.raises(ValueError, match="frame 8 out of range"):
+        mem.write_page(8, bytes(4096))
+    with pytest.raises(ValueError, match="frame 8 out of range"):
+        mem.read_page(8)
+    mem.write_page(2, b"\x07" * 4096)
+    assert mem.read(2 * 4096 - 1, 3) == b"\x00\x07\x07"
 
 
 def test_alloc_frames_bulk():
@@ -82,6 +183,24 @@ def test_alloc_frames_bulk():
     assert len(set(frames)) == 3
     with pytest.raises(OutOfMemoryError):
         mem.alloc_frames(2)
+
+
+def _traced_peak_bytes(build):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_machine_construction_memory_is_sparse():
+    # Each node has 32 MiB of simulated memory; building a machine must not
+    # pay for it up front.  Byte bounds only: host time is never gated.
+    assert DEFAULT_PARAMS.memory_bytes == 32 * 2**20
+    assert _traced_peak_bytes(lambda: Machine(num_nodes=16)) < 16 * 2**20
+    assert _traced_peak_bytes(lambda: Machine(num_nodes=1024)) < 64 * 2**20
 
 
 # ------------------------------------------------------------------- MMU --
