@@ -36,6 +36,9 @@ class CPU:
         self.stats = stats
         self._pending_steal = 0.0
         self._busy_depth = 0
+        # The busy-depth timeline, cached per telemetry collector.
+        self._timeline = None
+        self._timeline_owner = None
         self.total_compute_us = 0.0
         self.total_interrupt_us = 0.0
 
@@ -55,17 +58,14 @@ class CPU:
                 # (vs. stalled on communication) — busy_fraction gives the
                 # compute-vs-stall split against virtual time.
                 self._busy_depth += 1
-                tel.timeline(f"cpu.n{self.node_id}", node=self.node_id).record(
-                    self.sim.now, self._busy_depth
-                )
+                timeline = self._busy_timeline(tel)
+                timeline.record(self.sim.now, self._busy_depth)
             try:
                 yield duration + stolen
             finally:
                 if tel is not None:
                     self._busy_depth -= 1
-                    tel.timeline(f"cpu.n{self.node_id}", node=self.node_id).record(
-                        self.sim.now, self._busy_depth
-                    )
+                    timeline.record(self.sim.now, self._busy_depth)
         # Looked up per call on purpose: apps/base.py clears the registry's
         # breakdowns to scope the measured section, replacing the objects —
         # a cached handle would silently charge an orphan.
@@ -74,6 +74,13 @@ class CPU:
         if stolen:
             breakdown.charge("overhead", stolen)
         self.total_compute_us += duration
+
+    def _busy_timeline(self, tel):
+        """The cached busy-depth Timeline of ``tel``."""
+        if tel is not self._timeline_owner:
+            self._timeline = tel.timeline(f"cpu.n{self.node_id}", node=self.node_id)
+            self._timeline_owner = tel
+        return self._timeline
 
     # -- interrupts ---------------------------------------------------------
 

@@ -194,12 +194,14 @@ class Backplane:
         held_links: List[LinkId] = []
         try:
             for index, link in enumerate(links):
-                yield from link.acquire()
+                if not link.try_acquire():
+                    yield from link._acquire_wait()
                 held.append(link)
                 link_id = path[index]
                 held_links.append(link_id)
                 self._link_timeline(tel, link_id).record(self.sim.now, 1)
-            yield from ejection.acquire()
+            if not ejection.try_acquire():
+                yield from ejection._acquire_wait()
             held.append(ejection)
 
             latency = base_latency + packet.size / self._link_bandwidth

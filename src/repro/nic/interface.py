@@ -116,6 +116,9 @@ class ShrimpNIC:
         # counters never appear (zero-valued) in stats snapshots.
         self._rx_packets_counter = None
         self._rx_bytes_counter = None
+        # The receive-FIFO fill timeline, cached per telemetry collector.
+        self._rx_timeline = None
+        self._rx_timeline_owner = None
 
         backplane.attach_receiver(node_id, self._on_packet)
         self._started = False
@@ -261,10 +264,17 @@ class ShrimpNIC:
         tel = self.stats.telemetry
         if tel is not None:
             packet.admitted_at = self.sim.now
-            tel.timeline(f"rxfifo.n{self.node_id}", node=self.node_id).record(
-                self.sim.now, self._rx_fill
-            )
+            self._rx_fill_timeline(tel).record(self.sim.now, self._rx_fill)
         self._rx_queue.put(packet)
+
+    def _rx_fill_timeline(self, tel):
+        """The cached receive-FIFO fill Timeline of ``tel``."""
+        if tel is not self._rx_timeline_owner:
+            self._rx_timeline = tel.timeline(
+                f"rxfifo.n{self.node_id}", node=self.node_id
+            )
+            self._rx_timeline_owner = tel
+        return self._rx_timeline
 
     def _receive_engine(self) -> Generator:
         # Long-lived engine loop: invariant collaborators live in locals
@@ -322,9 +332,7 @@ class ShrimpNIC:
                 # CRC failure: discard after the header work, before DMA.
                 self._rx_fill -= packet.size
                 if tel is not None:
-                    tel.timeline(f"rxfifo.n{node_id}", node=node_id).record(
-                        self.sim.now, self._rx_fill
-                    )
+                    self._rx_fill_timeline(tel).record(self.sim.now, self._rx_fill)
                     tel.end(span, discarded=True)
                 if self._rx_freed is not None:
                     self._rx_freed.fire()
@@ -350,9 +358,7 @@ class ShrimpNIC:
                     memory.write(base + packet.offset, packet.payload)
             self._rx_fill -= packet.size
             if tel is not None:
-                tel.timeline(f"rxfifo.n{node_id}", node=node_id).record(
-                    self.sim.now, self._rx_fill
-                )
+                self._rx_fill_timeline(tel).record(self.sim.now, self._rx_fill)
                 tel.end(span)
             if self._rx_freed is not None:
                 self._rx_freed.fire()

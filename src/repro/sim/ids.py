@@ -13,7 +13,8 @@ per-run instead of per-process.
 from __future__ import annotations
 
 import itertools
-from typing import List
+import weakref
+from typing import Iterator, List
 
 __all__ = ["RunScopedCounter", "RunScopedRegistry", "reset_run_counters"]
 
@@ -50,22 +51,29 @@ class RunScopedRegistry:
     synchronization primitives enumerable, so postmortem tooling
     (:mod:`repro.monitor`) can walk "every named Resource/Queue/Signal"
     without the primitives carrying back-references to a machine.
+
+    The registry holds weak references, in creation order, and iteration
+    skips objects that have died: enumerating a machine's primitives never
+    keeps that machine (or its telemetry) alive after it is dropped.
     """
 
     __slots__ = ("_items",)
 
     def __init__(self):
-        self._items: List = []
+        self._items: List[weakref.ref] = []
         _COUNTERS.append(self)
 
     def add(self, obj) -> None:
-        self._items.append(obj)
+        self._items.append(weakref.ref(obj))
 
-    def __iter__(self):
-        return iter(self._items)
+    def __iter__(self) -> Iterator:
+        for ref in self._items:
+            obj = ref()
+            if obj is not None:
+                yield obj
 
     def __len__(self) -> int:
-        return len(self._items)
+        return sum(1 for ref in self._items if ref() is not None)
 
     def reset(self) -> None:
         self._items.clear()

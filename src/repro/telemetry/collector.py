@@ -19,6 +19,20 @@ Causality is tracked two ways:
   how an application-level ``nx.csend`` span becomes the parent of the
   ``vmmc.send`` span it triggers, without the libraries threading ids
   through every call signature.
+
+Storage: recording is the hot path and querying is rare, so each
+``begin``/``end``/``instant`` appends one plain tuple to a single
+append-only record list and builds nothing else:
+
+* begin and instant: ``(phase, name, time, node, track, span_id,
+  parent_id, args)`` — the :class:`TelemetryEvent` fields, in order;
+* end: ``(PHASE_END, begin_record, time, args)``, sharing the begin tuple.
+
+The public views (``events``, :meth:`Telemetry.spans` and the other
+queries) build :class:`TelemetryEvent` and :class:`Span` objects on first
+query and cache them; a later query builds objects only for records added
+since.  Sinks still receive a :class:`TelemetryEvent` at emission time,
+built only when a sink is installed.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ Sink = Callable[[TelemetryEvent], None]
 
 @dataclass(frozen=True)
 class Span:
-    """A completed span, reconstructed at ``end()`` time."""
+    """A completed span, reconstructed from its begin and end records."""
 
     span_id: int
     name: str
@@ -60,6 +74,16 @@ class Span:
         )
 
 
+def _event(record: tuple) -> TelemetryEvent:
+    """The :class:`TelemetryEvent` a record stands for."""
+    if record[0] is PHASE_END:
+        _phase, begin, time, args = record
+        return TelemetryEvent(
+            PHASE_END, begin[1], time, begin[3], begin[4], begin[5], begin[6], args
+        )
+    return TelemetryEvent(*record)
+
+
 class Telemetry:
     """Collects spans, instants, histograms, gauges and timelines."""
 
@@ -71,23 +95,32 @@ class Telemetry:
         timeline_cap: Optional[int] = None,
     ):
         self._clock = clock
+        #: Event-buffer size: the first ``limit`` records are the event
+        #: stream; later begin and instant records are not kept, and end
+        #: records are kept only to complete their spans.
         self.limit = limit
         #: Retention cap handed to every Timeline this collector creates
         #: (None: keep every point, the historical default).
         self.timeline_cap = timeline_cap
-        #: The raw event stream, in emission order.
-        self.events: List[TelemetryEvent] = []
+        #: Records in emission order (shapes in the module docstring).
+        self._records: List[tuple] = []
+        #: Records emitted past ``limit`` (missing from ``events``).
         self.dropped = 0
         self._ids = itertools.count(1)
-        #: span_id -> (begin event, owning process or None).
-        self._open: Dict[int, Tuple[TelemetryEvent, Any]] = {}
-        self._completed: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
+        #: span_id -> (begin record, owning process or None).
+        self._open: Dict[int, Tuple[tuple, Any]] = {}
         self._sinks: List[Sink] = []
         self._current_process = current_process
         self.histograms: Dict[str, Histogram] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.timelines: Dict[str, Timeline] = {}
+        # Query views, extended from the records on demand.
+        self._events: List[TelemetryEvent] = []
+        self._spans: List[Span] = []
+        self._by_id: Dict[int, Span] = {}
+        self._children: Dict[Optional[int], List[Span]] = {}
+        #: Records already scanned into the span views.
+        self._spans_seen = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -111,26 +144,31 @@ class Telemetry:
     ) -> int:
         """Open a span; returns its id (pass to :meth:`end`)."""
         span_id = next(self._ids)
-        proc = self._running()
-        if parent is None:
-            parent = self._innermost(proc)
-        event = TelemetryEvent(
-            PHASE_BEGIN, name, self._clock(), node, track, span_id, parent, args
-        )
-        self._record(event)
-        self._open[span_id] = (event, proc)
+        current = self._current_process
+        proc = None if current is None else current()
+        stack = None
         if proc is not None:
             stack = proc.telemetry_stack
             if stack is None:
                 stack = proc.telemetry_stack = []
+            elif parent is None and stack:
+                parent = stack[-1]
+        record = (PHASE_BEGIN, name, self._clock(), node, track, span_id, parent, args)
+        self._record(record)
+        self._open[span_id] = (record, proc)
+        if stack is not None:
             stack.append(span_id)
         return span_id
 
-    def end(self, span_id: int, **args: Any) -> Optional[Span]:
-        """Close an open span; duration feeds the span-name histogram."""
+    def end(self, span_id: int, **args: Any) -> None:
+        """Close an open span; duration feeds the span-name histogram.
+
+        Closing an unknown or already-closed span is a no-op.  Past
+        ``limit`` the end still completes the span (see ``dropped``).
+        """
         entry = self._open.pop(span_id, None)
         if entry is None:
-            return None
+            return
         begin, proc = entry
         if proc is not None and proc.telemetry_stack:
             try:
@@ -138,26 +176,14 @@ class Telemetry:
             except ValueError:
                 pass
         now = self._clock()
-        self._record(
-            TelemetryEvent(
-                PHASE_END, begin.name, now, begin.node, begin.track,
-                span_id, begin.parent_id, args,
-            )
-        )
-        span = Span(
-            span_id=span_id,
-            name=begin.name,
-            node=begin.node,
-            track=begin.track,
-            start=begin.time,
-            end=now,
-            parent_id=begin.parent_id,
-            args={**begin.args, **args},
-        )
-        self._completed.append(span)
-        self._by_id[span_id] = span
-        self.histogram(begin.name).add(span.duration)
-        return span
+        record = (PHASE_END, begin, now, args)
+        records = self._records
+        if len(records) >= self.limit:
+            self.dropped += 1
+        records.append(record)
+        if self._sinks:
+            self._emit(record)
+        self.histogram(begin[1]).add(now - begin[2])
 
     def instant(
         self,
@@ -170,32 +196,29 @@ class Telemetry:
         """Record a point event; returns its id (usable as a parent link)."""
         span_id = next(self._ids)
         if parent is None:
-            parent = self._innermost(self._running())
+            current = self._current_process
+            proc = None if current is None else current()
+            if proc is not None:
+                stack = proc.telemetry_stack
+                if stack:
+                    parent = stack[-1]
         self._record(
-            TelemetryEvent(
-                PHASE_INSTANT, name, self._clock(), node, track,
-                span_id, parent, args,
-            )
+            (PHASE_INSTANT, name, self._clock(), node, track, span_id, parent, args)
         )
         return span_id
 
-    def _running(self) -> Any:
-        if self._current_process is None:
-            return None
-        return self._current_process()
-
-    @staticmethod
-    def _innermost(proc: Any) -> Optional[int]:
-        if proc is None:
-            return None
-        stack = getattr(proc, "telemetry_stack", None)
-        return stack[-1] if stack else None
-
-    def _record(self, event: TelemetryEvent) -> None:
-        if len(self.events) >= self.limit:
-            self.dropped += 1
+    def _record(self, record: tuple) -> None:
+        """Keep a begin or instant record while under ``limit``."""
+        records = self._records
+        if len(records) < self.limit:
+            records.append(record)
         else:
-            self.events.append(event)
+            self.dropped += 1
+        if self._sinks:
+            self._emit(record)
+
+    def _emit(self, record: tuple) -> None:
+        event = _event(record)
         for sink in self._sinks:
             sink(event)
 
@@ -218,21 +241,82 @@ class Telemetry:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def events(self) -> List[TelemetryEvent]:
+        """The raw event stream, in emission order (the first ``limit``).
+
+        Built on first access and extended on later ones; the list is
+        shared, so treat it as read-only.
+        """
+        view = self._events
+        stop = min(len(self._records), self.limit)
+        if len(view) < stop:
+            view.extend(
+                map(_event, itertools.islice(self._records, len(view), stop))
+            )
+        return view
+
+    def event_count(self) -> int:
+        """``len(events)``, counted without building the events."""
+        return min(len(self._records), self.limit)
+
+    def span_count(self) -> int:
+        """``len(spans())``, counted without building the spans."""
+        return len(self._spans) + sum(
+            1
+            for record in itertools.islice(self._records, self._spans_seen, None)
+            if record[0] is PHASE_END
+        )
+
+    def _sync_spans(self) -> None:
+        """Build the spans completed since the last query."""
+        records = self._records
+        if self._spans_seen == len(records):
+            return
+        spans = self._spans
+        by_id = self._by_id
+        children = self._children
+        for record in itertools.islice(records, self._spans_seen, None):
+            if record[0] is not PHASE_END:
+                continue
+            _phase, begin, end, args = record
+            span_id = begin[5]
+            parent_id = begin[6]
+            span = Span(
+                span_id, begin[1], begin[3], begin[4], begin[2], end, parent_id,
+                {**begin[7], **args},
+            )
+            spans.append(span)
+            by_id[span_id] = span
+            children.setdefault(parent_id, []).append(span)
+        self._spans_seen = len(records)
+
     def spans(self, name: Optional[str] = None) -> List[Span]:
         """Completed spans, oldest first; optionally filtered by name prefix."""
+        self._sync_spans()
         if name is None:
-            return list(self._completed)
-        return [s for s in self._completed if s.name.startswith(name)]
+            return list(self._spans)
+        return [s for s in self._spans if s.name.startswith(name)]
 
     def span(self, span_id: int) -> Optional[Span]:
+        self._sync_spans()
         return self._by_id.get(span_id)
 
     def open_spans(self) -> List[TelemetryEvent]:
         """Begin events of spans never closed (still in flight at run end)."""
-        return [begin for begin, _proc in self._open.values()]
+        return [TelemetryEvent(*begin) for begin, _proc in self._open.values()]
 
     def children(self, span_id: int) -> List[Span]:
-        return [s for s in self._completed if s.parent_id == span_id]
+        return list(self.children_index().get(span_id, ()))
+
+    def children_index(self) -> Dict[Optional[int], List[Span]]:
+        """Parent span id -> its completed children, oldest first.
+
+        Root spans sit under ``None``.  The index is the collector's own
+        cache, kept current by every query: treat it as read-only.
+        """
+        self._sync_spans()
+        return self._children
 
     def instants(self, name: Optional[str] = None) -> List[TelemetryEvent]:
         return [
@@ -244,6 +328,7 @@ class Telemetry:
 
     def ancestry(self, span_id: int) -> List[Span]:
         """The chain from ``span_id`` up to its root (self first)."""
+        self._sync_spans()
         chain: List[Span] = []
         seen = set()
         current: Optional[int] = span_id
@@ -258,7 +343,7 @@ class Telemetry:
 
     def span_tree(self, span_id: int, indent: str = "") -> str:
         """ASCII rendering of the span tree rooted at ``span_id``."""
-        span = self._by_id.get(span_id)
+        span = self.span(span_id)
         if span is None:
             return f"{indent}<open or unknown span {span_id}>"
         lines = [
@@ -271,6 +356,6 @@ class Telemetry:
 
     def __repr__(self) -> str:
         return (
-            f"Telemetry({len(self.events)} events, "
-            f"{len(self._completed)} spans, {len(self.timelines)} timelines)"
+            f"Telemetry({self.event_count()} events, "
+            f"{self.span_count()} spans, {len(self.timelines)} timelines)"
         )

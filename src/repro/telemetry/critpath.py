@@ -49,7 +49,8 @@ shrink when the collective substrate improves; resource stalls do not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
 from .collector import Span, Telemetry
 
@@ -91,6 +92,15 @@ WORK = "work"
 WAIT = "wait"
 
 
+def _component(name: str, track: str, kind: str) -> str:
+    """The component a ``kind`` interval owned by a span is charged to."""
+    if kind == WAIT:
+        if name.startswith(SYNC_SPAN_PREFIXES):
+            return "sync"
+        return "stall"
+    return COMPONENT_OF_TRACK.get(track, "other")
+
+
 @dataclass(frozen=True)
 class PathSegment:
     """One interval of the critical path, owned by a single span."""
@@ -109,11 +119,7 @@ class PathSegment:
 
     @property
     def component(self) -> str:
-        if self.kind == WAIT:
-            if self.name.startswith(SYNC_SPAN_PREFIXES):
-                return "sync"
-            return "stall"
-        return COMPONENT_OF_TRACK.get(self.track, "other")
+        return _component(self.name, self.track, self.kind)
 
     def __repr__(self) -> str:
         return (
@@ -170,11 +176,12 @@ class AggregateAttribution:
         return self.components.get(component, 0.0) / self.count
 
 
-def _children_index(telemetry: Telemetry) -> Dict[Optional[int], List[Span]]:
-    index: Dict[Optional[int], List[Span]] = {}
-    for span in telemetry.spans():
-        index.setdefault(span.parent_id, []).append(span)
-    return index
+#: A critical-path interval before it becomes a PathSegment:
+#: (owning span, start, end, kind).
+_Interval = Tuple[Span, float, float, str]
+
+#: Children sort key: the latest finisher gates its parent's cursor.
+_GATING_ORDER = attrgetter("end", "start", "span_id")
 
 
 def _walk(
@@ -182,41 +189,65 @@ def _walk(
     span: Span,
     lo: float,
     hi: float,
-    out: List[PathSegment],
+    out: List[_Interval],
 ) -> None:
-    """Append segments covering ``[lo, hi]`` in reverse-chronological order.
+    """Append intervals covering ``[lo, hi]`` in reverse-chronological order.
 
     ``span`` is the active frame for the window; its children claim the
     sub-intervals they determine, latest finisher first.
     """
-
-    def own(start: float, end: float, kind: str) -> None:
-        out.append(
-            PathSegment(
-                span.span_id, span.name, span.node, span.track, start, end, kind
-            )
-        )
-
     cursor = hi
-    kids = sorted(
-        (c for c in index.get(span.span_id, ()) if c.start < hi and c.end > lo),
-        key=lambda c: (c.end, c.start, c.span_id),
-    )
-    while kids and cursor > lo:
-        child = kids.pop()  # the child whose completion gated `cursor`
-        child_hi = min(child.end, cursor)
-        child_lo = max(child.start, lo)
-        if child_hi <= child_lo:
-            continue
-        if child_hi < cursor:
-            # Nothing downstream was finishing in (child_hi, cursor]: the
-            # span itself was pending there, between/after its children.
-            own(child_hi, cursor, WAIT)
-        _walk(index, child, child_lo, child_hi, out)
-        cursor = child_lo
+    kids = index.get(span.span_id)
+    if kids:
+        kids = sorted(
+            (c for c in kids if c.start < hi and c.end > lo), key=_GATING_ORDER
+        )
+        while kids and cursor > lo:
+            child = kids.pop()  # the child whose completion gated `cursor`
+            child_hi = min(child.end, cursor)
+            child_lo = max(child.start, lo)
+            if child_hi <= child_lo:
+                continue
+            if child_hi < cursor:
+                # Nothing downstream was finishing in (child_hi, cursor]: the
+                # span itself was pending there, between/after its children.
+                out.append((span, child_hi, cursor, WAIT))
+            _walk(index, child, child_lo, child_hi, out)
+            cursor = child_lo
     if cursor > lo:
         # The head interval: the span's own lead-in work.
-        own(lo, cursor, WORK)
+        out.append((span, lo, cursor, WORK))
+
+
+def _path(index: Dict[Optional[int], List[Span]], root: Span) -> List[_Interval]:
+    """The critical path of ``root`` as chronological intervals."""
+    intervals: List[_Interval] = []
+    if root.end > root.start:
+        _walk(index, root, root.start, root.end, intervals)
+    intervals.reverse()
+    return intervals
+
+
+def _components(intervals: List[_Interval]) -> Dict[str, float]:
+    """Per-component time of a path; every key in :data:`COMPONENTS`."""
+    components = {name: 0.0 for name in COMPONENTS}
+    for span, start, end, kind in intervals:
+        components[_component(span.name, span.track, kind)] += end - start
+    return components
+
+
+def _root_span(telemetry: Telemetry, root_id: int) -> Span:
+    root = telemetry.span(root_id)
+    if root is None:
+        raise ValueError(f"span {root_id} is not a completed span")
+    return root
+
+
+def _segments(intervals: List[_Interval]) -> List[PathSegment]:
+    return [
+        PathSegment(span.span_id, span.name, span.node, span.track, start, end, kind)
+        for span, start, end, kind in intervals
+    ]
 
 
 def critical_path(
@@ -230,15 +261,9 @@ def critical_path(
     ``[root.start, root.end]``: consecutive segments abut, and their
     durations sum to the root span's duration.
     """
-    root = telemetry.span(root_id)
-    if root is None:
-        raise ValueError(f"span {root_id} is not a completed span")
-    index = _index if _index is not None else _children_index(telemetry)
-    segments: List[PathSegment] = []
-    if root.end > root.start:
-        _walk(index, root, root.start, root.end, segments)
-    segments.reverse()
-    return segments
+    root = _root_span(telemetry, root_id)
+    index = _index if _index is not None else telemetry.children_index()
+    return _segments(_path(index, root))
 
 
 def attribute(
@@ -251,14 +276,12 @@ def attribute(
     The returned components carry every key in :data:`COMPONENTS` and sum
     exactly (to float tolerance) to the root span's duration.
     """
-    root = telemetry.span(root_id)
-    if root is None:
-        raise ValueError(f"span {root_id} is not a completed span")
-    segments = critical_path(telemetry, root_id, _index)
-    components = {name: 0.0 for name in COMPONENTS}
-    for segment in segments:
-        components[segment.component] += segment.duration
-    return Attribution(root=root, segments=segments, components=components)
+    root = _root_span(telemetry, root_id)
+    index = _index if _index is not None else telemetry.children_index()
+    intervals = _path(index, root)
+    return Attribution(
+        root=root, segments=_segments(intervals), components=_components(intervals)
+    )
 
 
 def operation_roots(
@@ -282,22 +305,23 @@ def aggregate(
     top: int = 3,
 ) -> AggregateAttribution:
     """Attribute every operation root (optionally filtered) and sum up."""
-    index = _children_index(telemetry)
+    index = telemetry.children_index()
     roots = operation_roots(telemetry, name)
     components = {key: 0.0 for key in COMPONENTS}
-    attributions: List[Attribution] = []
     for root in roots:
-        attribution = attribute(telemetry, root.span_id, index)
-        attributions.append(attribution)
-        for key, value in attribution.components.items():
+        for key, value in _components(_path(index, root)).items():
             components[key] += value
-    attributions.sort(key=lambda a: a.root.duration, reverse=True)
+    # Path segments are built only for the operations reported in full.
+    ranked = sorted(roots, key=lambda root: root.duration, reverse=True)
     return AggregateAttribution(
         name=name or "<all operations>",
         count=len(roots),
-        total_us=sum(a.root.duration for a in attributions),
+        total_us=sum(root.duration for root in ranked),
         components=components,
-        slowest=attributions[: max(0, top)],
+        slowest=[
+            attribute(telemetry, root.span_id, index)
+            for root in ranked[: max(0, top)]
+        ],
     )
 
 

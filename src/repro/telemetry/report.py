@@ -81,7 +81,7 @@ def summarize(telemetry: Telemetry, label: Optional[str] = None) -> str:
     if label:
         parts.insert(0, f"Profile: {label}")
     parts.append(
-        f"events={len(telemetry.events)} spans={len(telemetry.spans())} "
+        f"events={telemetry.event_count()} spans={telemetry.span_count()} "
         f"open={len(telemetry.open_spans())} dropped={telemetry.dropped}"
     )
     return "\n\n".join(parts)

@@ -7,8 +7,10 @@ enriched deadlock error from ``run_process``, deterministic auto-naming of
 anonymous primitives, and the ``python -m repro.monitor`` demos.
 """
 
+import gc
 import json
 import re
+import weakref
 
 import pytest
 
@@ -456,6 +458,18 @@ def test_primitives_registry_enumerates_live_primitives():
     # A fresh machine resets the registry along with the counters.
     Machine(num_nodes=2, seed=9)
     assert r not in list(PRIMITIVES)
+
+
+def test_primitives_registry_does_not_keep_a_dropped_machine_alive():
+    machine = Machine(num_nodes=2, seed=9, telemetry=True)
+    Resource(machine.sim, name="reg.weak")
+    assert len(PRIMITIVES) > 0
+    ref = weakref.ref(machine)
+    del machine
+    gc.collect()
+    assert ref() is None
+    assert len(PRIMITIVES) == 0
+    assert list(PRIMITIVES) == []
 
 
 # -- flight recorder ------------------------------------------------------

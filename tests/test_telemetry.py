@@ -19,8 +19,14 @@ from repro.telemetry.export import SIM_PID
 from repro.vmmc import ReliableConfig, VMMCRuntime
 
 
-def _du_ping(machine, nbytes=2048, reliable=False, rel_config=None):
-    """One DU message node 0 -> node 1; returns the machine (run to idle)."""
+def _du_ping(
+    machine, nbytes=2048, reliable=False, rel_config=None, name="ping",
+    until=None,
+):
+    """One DU message node 0 -> node 1; returns the machine.
+
+    The run goes to idle, or stops at virtual time ``until`` when given.
+    """
     vmmc = VMMCRuntime(machine)
     sender = vmmc.endpoint(machine.create_process(0))
     receiver = vmmc.endpoint(machine.create_process(1))
@@ -28,12 +34,12 @@ def _du_ping(machine, nbytes=2048, reliable=False, rel_config=None):
 
     def rx():
         buffer = yield from receiver.export(
-            nbytes, name="ping", enable_notifications=True
+            nbytes, name=name, enable_notifications=True
         )
         yield from receiver.wait_bytes(buffer, nbytes)
 
     def tx():
-        imported = yield from sender.import_buffer("ping")
+        imported = yield from sender.import_buffer(name)
         src = sender.alloc(nbytes)
         sender.poke(src, payload)
         if reliable:
@@ -46,7 +52,7 @@ def _du_ping(machine, nbytes=2048, reliable=False, rel_config=None):
 
     machine.sim.spawn(rx(), "rx")
     machine.sim.spawn(tx(), "tx")
-    machine.sim.run()
+    machine.sim.run(until)
     return machine
 
 
@@ -424,3 +430,190 @@ class TestTailHistogram:
             TailHistogram("bad", resolution=0.0)
         with pytest.raises(ValueError, match="sub_bits"):
             TailHistogram("bad", sub_bits=0)
+
+
+# -- lazy views over the record list --------------------------------------
+
+#: sha256 of ``python -m repro.telemetry du-ping --out FILE``'s trace file.
+DU_PING_CHROME_SHA256 = (
+    "c585ee6de8e037b2828f831b0ed6f5b3da03fa93525d7f55c52d1b372b201b13"
+)
+#: sha256 of the JSONL export of :func:`_small_serve`, lines joined by "\n".
+SMALL_SERVE_JSONL_SHA256 = (
+    "908d237e326b07027c60136df68d578d0fc1c1193112e43659ae4f9bc725e572"
+)
+
+
+def _small_serve():
+    """A short telemetry-on serve run; returns (telemetry, sink stream)."""
+    from repro import ServeCluster, ServeConfig
+
+    config = ServeConfig(
+        num_shards=2,
+        num_aggregates=2,
+        balancer="p2c",
+        offered_rps=20_000.0,
+        duration_us=2_000.0,
+    )
+    machine = Machine(num_nodes=config.num_nodes, seed=3)
+    tel = machine.enable_telemetry()
+    stream = []
+    tel.add_sink(stream.append)
+    cluster = ServeCluster(config, seed=3, machine=machine)
+    cluster.setup()
+    cluster.run()
+    return tel, stream
+
+
+def _spans_from_stream(stream):
+    """Completed spans rebuilt from a mirrored event stream, in end order."""
+    from repro.telemetry import Span
+
+    begins = {}
+    spans = []
+    for event in stream:
+        if event.phase == "B":
+            begins[event.span_id] = event
+        elif event.phase == "E":
+            begin = begins.pop(event.span_id)
+            spans.append(
+                Span(
+                    event.span_id, begin.name, begin.node, begin.track,
+                    begin.time, event.time, begin.parent_id,
+                    {**begin.args, **event.args},
+                )
+            )
+    return spans, list(begins.values())
+
+
+def _assert_views_match_stream(tel, stream):
+    spans, still_open = _spans_from_stream(stream)
+    assert tel.spans() == spans
+    assert tel.span_count() == len(spans)
+    assert tel.open_spans() == still_open
+    kept = stream[: tel.limit]
+    assert tel.instants() == [e for e in kept if e.phase == "i"]
+    assert tel.instants("nic.") == [
+        e for e in kept if e.phase == "i" and e.name.startswith("nic.")
+    ]
+    for span in spans:
+        assert tel.span(span.span_id) == span
+        assert tel.children(span.span_id) == [
+            s for s in spans if s.parent_id == span.span_id
+        ]
+        chain = tel.ancestry(span.span_id)
+        assert chain[0] == span
+        for child, parent in zip(chain, chain[1:]):
+            assert child.parent_id == parent.span_id
+        assert chain[-1].parent_id is None or tel.span(chain[-1].parent_id) is None
+
+
+def test_lazy_views_agree_with_the_sink_stream():
+    tel, stream = _small_serve()
+    assert tel.events == stream
+    assert tel.event_count() == len(stream)
+    assert tel.dropped == 0
+    assert tel.spans("serve.request")
+    _assert_views_match_stream(tel, stream)
+
+
+def test_records_past_limit_are_dropped_but_spans_complete():
+    full = _du_ping(Machine(num_nodes=2, telemetry=True)).telemetry
+    limited_machine = Machine(num_nodes=2)
+    limited = limited_machine.enable_telemetry(limit=10)
+    stream = []
+    limited.add_sink(stream.append)
+    _du_ping(limited_machine)
+    assert len(full.events) > 10
+    assert limited.events == full.events[:10] == stream[:10]
+    assert limited.event_count() == 10
+    assert limited.dropped == len(full.events) - 10
+    assert stream == full.events
+    # Spans completed past the limit are still queryable and counted.
+    assert limited.spans() == full.spans()
+    assert limited.span_count() == len(full.spans())
+    assert {n: h.count for n, h in limited.histograms.items()} == {
+        n: h.count for n, h in full.histograms.items()
+    }
+    _assert_views_match_stream(limited, stream)
+    assert f"{limited!r}".startswith(f"Telemetry(10 events, {len(full.spans())} spans")
+
+
+def test_views_queried_mid_run_extend_to_the_full_stream():
+    reference = _du_ping(Machine(num_nodes=2, telemetry=True), nbytes=16 * 1024)
+    machine = Machine(num_nodes=2, telemetry=True)
+    stream = []
+    machine.telemetry.add_sink(stream.append)
+    _du_ping(machine, nbytes=16 * 1024, until=reference.sim.now / 2)
+    tel = machine.telemetry
+    early_events = list(tel.events)
+    early_spans = tel.spans()
+    assert early_events and early_spans and tel.open_spans()
+    assert len(early_events) < len(reference.telemetry.events)
+    _assert_views_match_stream(tel, stream)
+    machine.sim.run()
+    assert tel.events == stream == reference.telemetry.events
+    assert tel.events[: len(early_events)] == early_events
+    assert tel.spans()[: len(early_spans)] == early_spans
+    assert tel.spans() == reference.telemetry.spans()
+    _assert_views_match_stream(tel, stream)
+
+
+def test_end_returns_nothing_and_ignores_unknown_spans():
+    clock = [0.0]
+    from repro.telemetry import Telemetry
+
+    tel = Telemetry(lambda: clock[0])
+    span = tel.begin("op", 0, "app", size=1)
+    clock[0] = 2.5
+    assert tel.end(span, status="ok") is None
+    assert tel.end(span) is None
+    assert tel.end(999) is None
+    (done,) = tel.spans()
+    assert (done.start, done.end, done.args) == (0.0, 2.5, {"size": 1, "status": "ok"})
+    assert [e.phase for e in tel.events] == ["B", "E"]
+    assert tel.histograms["op"].count == 1
+
+
+def test_counting_does_not_build_views():
+    tel, stream = _small_serve()
+    text = summarize(tel)
+    assert f"events={len(stream)} " in text
+    assert repr(tel).startswith(f"Telemetry({len(stream)} events, ")
+    assert not tel._events and not tel._spans
+    assert f"spans={len(tel.spans())} " in text
+
+
+def test_hot_site_timeline_handles_follow_the_collector():
+    from repro.telemetry import Telemetry
+
+    machine = _du_ping(Machine(num_nodes=2, telemetry=True))
+    first = machine.telemetry
+    watched = ("cpu.n0", "cpu.n1", "rxfifo.n1")
+    before = {name: list(first.timelines[name].points) for name in watched}
+    second = Telemetry(
+        lambda: machine.sim.now, current_process=lambda: machine.sim.current
+    )
+    machine.stats.telemetry = second
+    _du_ping(machine, name="ping2")
+    assert {name: first.timelines[name].points for name in watched} == before
+    for name in watched:
+        assert second.timelines[name].points
+
+
+def test_du_ping_chrome_trace_is_golden(tmp_path, capsys):
+    import hashlib
+
+    from repro.telemetry.__main__ import main
+
+    out = tmp_path / "ping.trace.json"
+    assert main(["du-ping", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DU_PING_CHROME_SHA256
+
+
+def test_serve_jsonl_export_is_golden():
+    import hashlib
+
+    tel, _stream = _small_serve()
+    text = "\n".join(to_jsonl(tel))
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_SERVE_JSONL_SHA256
