@@ -35,15 +35,28 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class BenchRun:
-    """The outcome of one benchmark invocation at one seed."""
+    """The outcome of one workload run: a benchmark at one seed, or one
+    fleet spec.  The benchmark harness reads the first three fields;
+    the fleet's record builder reads them all."""
 
-    #: Virtual-time samples (one per operation; at least one).
+    #: Virtual-time samples (one per operation; empty only for
+    #: report-only fleet workloads).
     samples: List[float]
     #: Summed critical-path attribution over the run's operations (us per
     #: component; see :data:`repro.telemetry.critpath.COMPONENTS`).
     attribution: Optional[Dict[str, float]] = None
     #: Number of operations the attribution sums over.
     ops: int = 0
+    #: The run's telemetry collector (None: no trace sidecar).
+    telemetry: object = None
+    #: The run's health monitor (None: not armed).
+    monitor: object = None
+    #: Virtual time at the end of the run.
+    virtual_end_us: float = 0.0
+    #: Workload-specific scalar metrics (goodput, packet counts, ...).
+    metrics: Dict[str, float] = field(default_factory=dict)
+    #: Rendered report text (None: no report sidecar).
+    report: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,21 @@ committed baseline comparable across machines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List
 
 from ..node import Machine
 from ..telemetry import critpath
 from ..vmmc import ReliableConfig, VMMCRuntime
 from .core import BenchRun, BenchSpec, register
 
-__all__ = ["PING_OPS"]
+__all__ = [
+    "PING_OPS",
+    "measure_spans",
+    "ping_run",
+    "serve_run",
+    "span_samples",
+    "stream",
+]
 
 #: Operations per ping benchmark per seed (first op excluded as warm-up).
 PING_OPS = 9
@@ -49,36 +56,20 @@ def _payload(nbytes: int) -> bytes:
     return (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
 
 
-def _ping_machine(
-    seed: int, senders: int, drop_rate: float = 0.0
-) -> Machine:
-    fault_config = None
-    if drop_rate > 0.0:
-        from ..faults import FaultConfig
-
-        fault_config = FaultConfig(drop_rate=drop_rate)
-    return Machine(
-        num_nodes=senders + 1,
-        seed=seed,
-        telemetry=True,
-        fault_config=fault_config,
-    )
-
-
-def _ping(
-    seed: int,
+def stream(
+    machine: Machine,
+    senders: int,
     nbytes: int,
-    ops: int = PING_OPS,
-    senders: int = 1,
-    drop_rate: float = 0.0,
+    ops: int,
     reliable: bool = False,
-) -> BenchRun:
-    """``senders`` nodes each stream ``ops`` messages into node 0.
+) -> None:
+    """Spawn the (n-1)-to-1 VMMC stream on ``machine``; does not run it.
 
-    Returns one latency sample per ``vmmc.send`` span (warm-up op of each
-    sender dropped from the samples but kept in the attribution sums).
+    Node 0 exports one ``nbytes`` buffer per sender and waits for
+    ``ops`` messages into each; nodes ``1..senders`` each import theirs
+    and send ``ops`` messages, synchronously delivered, or through a
+    reliable channel when ``reliable``.
     """
-    machine = _ping_machine(seed, senders, drop_rate)
     vmmc = VMMCRuntime(machine)
     receiver = vmmc.endpoint(machine.create_process(0))
     payload = _payload(nbytes)
@@ -86,14 +77,14 @@ def _ping(
     def rx():
         buffers = []
         for s in range(senders):
-            buffer = yield from receiver.export(nbytes, name=f"bench.{s}")
+            buffer = yield from receiver.export(nbytes, name=f"stream.{s}")
             buffers.append(buffer)
         for buffer in buffers:
             yield from receiver.wait_bytes(buffer, nbytes * ops)
 
     def tx(s: int):
         endpoint = vmmc.endpoint(machine.create_process(s + 1))
-        imported = yield from endpoint.import_buffer(f"bench.{s}")
+        imported = yield from endpoint.import_buffer(f"stream.{s}")
         src = endpoint.alloc(nbytes)
         endpoint.poke(src, payload)
         if reliable:
@@ -108,27 +99,80 @@ def _ping(
                     imported, src, nbytes, sync_delivered=True
                 )
 
-    machine.sim.spawn(rx(), "bench.rx")
+    machine.sim.spawn(rx(), "stream.rx")
     for s in range(senders):
-        machine.sim.spawn(tx(s), f"bench.tx{s}")
-    machine.sim.run()
+        machine.sim.spawn(tx(s), f"stream.tx{s}")
 
-    tel = machine.telemetry
-    agg = critpath.aggregate(tel, "vmmc.send", top=0)
-    roots = critpath.operation_roots(tel, "vmmc.send")
-    # Drop each sender's first (cold) operation from the latency samples.
+
+def span_samples(telemetry, span_name: str) -> List[float]:
+    """Per-operation durations with each node's cold first op dropped.
+
+    The cold op (first use of a buffer, tree or queue, plus start skew)
+    stays in the attribution sums; when no node has a second op, every
+    root is a sample.
+    """
+    roots = critpath.operation_roots(telemetry, span_name)
     by_node: Dict[int, list] = {}
     for root in roots:
         by_node.setdefault(root.node, []).append(root)
-    samples = []
-    for sends in by_node.values():
-        sends.sort(key=lambda span: span.start)
-        samples.extend(span.duration for span in sends[1:])
+    samples: List[float] = []
+    for spans in by_node.values():
+        spans.sort(key=lambda span: span.start)
+        samples.extend(span.duration for span in spans[1:])
+    return samples or [span.duration for span in roots]
+
+
+def measure_spans(machine: Machine, span_name: str, **fields) -> BenchRun:
+    """A drained, telemetry-armed ``machine``'s run, measured over its
+    ``span_name`` operations; ``fields`` fill the rest of the result."""
+    telemetry = machine.telemetry
+    agg = critpath.aggregate(telemetry, span_name, top=0)
     return BenchRun(
-        samples=samples or [span.duration for span in roots],
+        samples=span_samples(telemetry, span_name),
         attribution=agg.components,
         ops=agg.count,
+        telemetry=telemetry,
+        monitor=machine.monitor,
+        virtual_end_us=machine.now,
+        **fields,
     )
+
+
+def ping_run(
+    machine: Machine,
+    senders: int,
+    nbytes: int,
+    ops: int = PING_OPS,
+    reliable: bool = False,
+) -> BenchRun:
+    """Run :func:`stream` on a telemetry-armed ``machine``.
+
+    One latency sample per ``vmmc.send`` span (see :func:`span_samples`).
+    """
+    stream(machine, senders, nbytes, ops, reliable=reliable)
+    machine.sim.run()
+    return measure_spans(machine, "vmmc.send")
+
+
+def _ping(
+    seed: int,
+    nbytes: int,
+    senders: int = 1,
+    drop_rate: float = 0.0,
+    reliable: bool = False,
+) -> BenchRun:
+    fault_config = None
+    if drop_rate > 0.0:
+        from ..faults import FaultConfig
+
+        fault_config = FaultConfig(drop_rate=drop_rate)
+    machine = Machine(
+        num_nodes=senders + 1,
+        seed=seed,
+        telemetry=True,
+        fault_config=fault_config,
+    )
+    return ping_run(machine, senders, nbytes, reliable=reliable)
 
 
 def _app(
@@ -247,15 +291,45 @@ def _register_apps() -> None:
     )
 
 
-def _serve_latency(seed: int) -> BenchRun:
-    """Per-request latency distribution of a small hash-balanced tier.
+def serve_run(config, seed: int) -> BenchRun:
+    """Per-request latency of a telemetry-armed serving tier.
 
-    Samples are the telemetry durations of every completed
-    ``serve.request`` span, so the committed baseline pins the whole
-    latency distribution (tail included), and the attribution vector
-    records where request time goes (cpu vs link vs stall).
+    Samples are the durations of every completed ``serve.request`` span,
+    so a baseline pins the whole latency distribution (tail included);
+    the attribution records where request time goes (cpu vs link vs
+    stall), and ``metrics`` the SLO outcome counts.
     """
-    from ..serve import ServeCluster, ServeConfig
+    from ..serve import ServeCluster
+
+    cluster = ServeCluster(config, seed=seed, telemetry=True)
+    report = cluster.run()
+    machine = cluster.machine
+    telemetry = machine.telemetry
+    agg = critpath.aggregate(telemetry, "serve.request", top=0)
+    overall = report.overall
+    return BenchRun(
+        samples=[
+            span.duration
+            for span in critpath.operation_roots(telemetry, "serve.request")
+        ],
+        attribution=agg.components,
+        ops=agg.count,
+        telemetry=telemetry,
+        monitor=machine.monitor,
+        virtual_end_us=machine.now,
+        metrics={
+            "goodput_rps": report.goodput_rps,
+            "ok": float(overall.ok),
+            "late": float(overall.late),
+            "failed": float(overall.failed),
+        },
+        report=report.render(),
+    )
+
+
+def _serve_latency(seed: int) -> BenchRun:
+    """A small hash-balanced tier (see :func:`serve_run`)."""
+    from ..serve import ServeConfig
 
     config = ServeConfig(
         num_shards=2,
@@ -264,12 +338,7 @@ def _serve_latency(seed: int) -> BenchRun:
         offered_rps=40_000.0,
         duration_us=5_000.0,
     )
-    cluster = ServeCluster(config, seed=seed, telemetry=True)
-    cluster.run()
-    tel = cluster.machine.telemetry
-    agg = critpath.aggregate(tel, "serve.request", top=0)
-    samples = [span.duration for span in critpath.operation_roots(tel, "serve.request")]
-    return BenchRun(samples=samples, attribution=agg.components, ops=agg.count)
+    return serve_run(config, seed)
 
 
 def _serve_goodput(seed: int) -> BenchRun:
@@ -296,12 +365,8 @@ def _coll_ops(
     op: str = "barrier",
     ops: int = 8,
 ) -> BenchRun:
-    """``ops`` collectives on ``nodes`` ranks; one sample per op span.
-
-    The first operation of each rank (cold trees, engine queues, rank
-    start skew) is dropped from the latency samples but kept in the
-    attribution sums, mirroring the ping benchmarks.
-    """
+    """``ops`` collectives on ``nodes`` ranks; one sample per op span
+    after each rank's cold first op (see :func:`span_samples`)."""
     from ..coll import CollConfig, CollWorld
 
     machine = Machine(num_nodes=nodes, seed=seed, telemetry=True)
@@ -325,20 +390,7 @@ def _coll_ops(
     for rank in range(nodes):
         machine.sim.spawn(worker(rank), f"bench.coll.r{rank}")
     machine.sim.run()
-
-    tel = machine.telemetry
-    span_name = f"coll.{op}"
-    agg = critpath.aggregate(tel, span_name, top=0)
-    by_node: Dict[int, list] = {}
-    for root in critpath.operation_roots(tel, span_name):
-        by_node.setdefault(root.node, []).append(root)
-    samples = []
-    for spans in by_node.values():
-        spans.sort(key=lambda span: span.start)
-        samples.extend(span.duration for span in spans[1:])
-    return BenchRun(
-        samples=samples, attribution=agg.components, ops=agg.count
-    )
+    return measure_spans(machine, f"coll.{op}")
 
 
 def _register_coll() -> None:

@@ -38,7 +38,6 @@ from .runner import RunOutcome, build_record, execute_spec, run_specs
 from .store import RECORD_SCHEMA, RunStore, StoreError
 from .workloads import (
     FAULT_PLANS,
-    FleetResult,
     FleetWorkload,
     WORKLOADS,
     resolve_workload,
@@ -59,7 +58,6 @@ __all__ = [
     "run_specs",
     "execute_spec",
     "build_record",
-    "FleetResult",
     "FleetWorkload",
     "WORKLOADS",
     "FAULT_PLANS",

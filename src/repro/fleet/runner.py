@@ -3,11 +3,13 @@
 ``run_specs`` takes a list of :class:`ExperimentSpec`, checks each
 against the store, and executes only the misses (and invalid records,
 which are re-run rather than served).  Execution happens either inline
-(``workers <= 1``) or on a ``multiprocessing`` pool — every worker runs
-the workload **in-process** via the existing study/bench entry points
-and writes its own ``runs/<fingerprint>/`` directory, so parallel
-workers never share mutable state and a 2-worker fan-out produces
-byte-identical records to a serial run (tested).
+(``workers <= 1``) or on a process pool — every worker runs the
+workload **in-process** via the existing study/bench entry points and
+writes its own ``runs/<fingerprint>/`` directory, so parallel workers
+never share mutable state and a 2-worker fan-out produces
+byte-identical records to a serial run (tested).  A worker process that
+dies breaks the pool: every spec it had not finished becomes an
+``error`` outcome, and ``run_specs`` returns.
 
 The record document (``RunRecord``) embeds a ``BENCH_*``-schema stats
 entry built by :func:`repro.bench.core.make_entry`, which is what lets
@@ -21,11 +23,16 @@ import json
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from .catalog import ExperimentSpec
-from .store import RECORD_SCHEMA, RunStore
-from .workloads import FleetResult, resolve_workload
+from .store import RECORD_SCHEMA, RunStore, code_digest
+from .workloads import resolve_workload
+
+if TYPE_CHECKING:
+    from ..bench.core import BenchRun
 
 __all__ = ["RunOutcome", "build_record", "execute_spec", "run_specs"]
 
@@ -46,32 +53,35 @@ class RunOutcome:
 
 
 def build_record(
-    spec: ExperimentSpec, result: FleetResult
+    spec: ExperimentSpec, result: BenchRun
 ) -> Tuple[Dict, Dict[str, str]]:
     """The (record document, sidecar contents) for one finished run.
 
     No wall-clock fields anywhere: the record is a pure function of the
-    spec and the code, so re-runs reproduce it byte-for-byte.
+    spec and the code (``code_digest``), so re-runs reproduce it
+    byte-for-byte.  Unit and direction come from the spec's workload.
     """
     from .. import __version__
     from ..bench.core import make_entry
     from ..telemetry.export import to_chrome_trace
 
+    workload = resolve_workload(spec.workload)
     fingerprint = spec.fingerprint
     record: Dict = {
         "schema": RECORD_SCHEMA,
         "fingerprint": fingerprint,
         "spec": spec.to_json(),
         "code_version": __version__,
+        "code_digest": code_digest(),
         "workload": spec.workload,
-        "unit": result.unit,
+        "unit": workload.unit,
         "virtual_end_us": result.virtual_end_us,
         "metrics": result.metrics,
     }
     if result.samples:
         record["bench"] = make_entry(
-            result.unit,
-            result.higher_is_better,
+            workload.unit,
+            workload.higher_is_better,
             result.samples,
             attribution=result.attribution,
             ops=result.ops,
@@ -119,14 +129,15 @@ def execute_spec(spec: ExperimentSpec, store: RunStore) -> str:
     return store.put(record, sidecars)
 
 
-def _pool_worker(args: Tuple[dict, str, object]) -> Tuple[str, Optional[str]]:
-    """Module-level so it pickles under both fork and spawn starts.
+def _pool_worker(args: Tuple[dict, str, object]) -> Optional[str]:
+    """Run one spec in a pool worker; returns its traceback, or None.
 
+    Module-level so it pickles under both fork and spawn starts.
     ``heartbeats`` (a manager queue, or None) is the fleet's progress
-    side-channel: ``("start", fingerprint)`` before the workload runs,
-    ``("done", fingerprint, ok)`` after.  Run records never contain
-    wall-clock fields, so the heartbeat traffic cannot change a stored
-    byte — it only feeds the master's ticker.
+    side-channel: the worker puts ``("start", fingerprint)`` before the
+    workload runs; the master reports ``done`` when the result arrives.
+    Run records never contain wall-clock fields, so the heartbeat
+    traffic cannot change a stored byte — it only feeds the ticker.
     """
     spec_doc, root, heartbeats = args
     spec = ExperimentSpec.from_json(spec_doc)
@@ -134,41 +145,74 @@ def _pool_worker(args: Tuple[dict, str, object]) -> Tuple[str, Optional[str]]:
         heartbeats.put(("start", spec.fingerprint))
     try:
         execute_spec(spec, RunStore(root))
-        outcome = (spec.fingerprint, None)
     except Exception:  # noqa: BLE001 - reported per-spec by the caller
-        outcome = (spec.fingerprint, traceback.format_exc())
-    if heartbeats is not None:
-        heartbeats.put(("done", spec.fingerprint, outcome[1] is None))
-    return outcome
+        return traceback.format_exc()
+    return None
 
 
-def _drain_heartbeats(
-    heartbeats, progress, described: Dict[str, str],
-    statuses_at_send: Dict[str, str], wait_s: float = 0.0,
-) -> None:
-    """Forward queued worker heartbeats to the progress callback."""
+def _drain_heartbeats(heartbeats, progress, described: Dict[str, str]) -> None:
+    """Forward queued worker ``start`` heartbeats to the progress callback."""
     import queue as _queue
 
     while True:
         try:
-            if wait_s > 0.0:
-                event = heartbeats.get(timeout=wait_s)
-            else:
-                event = heartbeats.get_nowait()
+            _kind, fingerprint = heartbeats.get_nowait()
         except _queue.Empty:
             return
-        if event[0] == "start":
-            fingerprint = event[1]
-            progress(("start", fingerprint, described.get(fingerprint, "")))
-        else:
-            fingerprint, ok = event[1], event[2]
-            if not ok:
-                status = "error"
-            elif statuses_at_send.get(fingerprint) == "invalid":
-                status = "reran"
-            else:
-                status = "ran"
-            progress(("done", fingerprint, status))
+        progress(("start", fingerprint, described[fingerprint]))
+
+
+def _run_pool(
+    pending: Sequence[ExperimentSpec],
+    root: str,
+    workers: int,
+    progress: Optional[Callable[[Tuple], None]],
+    finished: Callable[[ExperimentSpec, Optional[str]], None],
+) -> None:
+    """Execute ``pending`` on ``workers`` processes, calling ``finished``
+    with each spec's traceback (None: ran) as its result arrives."""
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context()
+    manager = None
+    heartbeats = None
+    if progress is not None:
+        manager = context.Manager()
+        heartbeats = manager.Queue()
+    described = {spec.fingerprint: spec.describe() for spec in pending}
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=context
+        ) as pool:
+            futures = {
+                pool.submit(
+                    _pool_worker, (spec.to_json(), root, heartbeats)
+                ): spec
+                for spec in pending
+            }
+            waiting = set(futures)
+            while waiting:
+                done, waiting = wait(
+                    waiting,
+                    timeout=0.2 if heartbeats is not None else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                if heartbeats is not None:
+                    _drain_heartbeats(heartbeats, progress, described)
+                for future in done:
+                    spec = futures[future]
+                    try:
+                        error = future.result()
+                    except BrokenProcessPool as exc:
+                        error = (
+                            f"spec {spec.fingerprint} ({spec.describe()}) "
+                            f"did not finish: a worker process died ({exc})"
+                        )
+                    finished(spec, error)
+    finally:
+        if manager is not None:
+            manager.shutdown()
 
 
 def run_specs(
@@ -182,16 +226,15 @@ def run_specs(
     """Run a catalog's specs against the store; returns one outcome each.
 
     Duplicate fingerprints are collapsed (first occurrence wins); valid
-    cached records are served without executing anything unless
-    ``force``; invalid records are replaced.  Outcomes preserve the
-    input order of the surviving specs.
+    cached records of the running code are served without executing
+    anything unless ``force``; invalid and stale records are replaced.
+    Outcomes preserve the input order of the surviving specs.
 
     ``progress``, when given, receives live ``("start", fingerprint,
     description)`` and ``("done", fingerprint, status)`` events — for
-    cache hits a lone ``done``/``"cached"`` — from the inline runner
-    directly, or relayed off a manager heartbeat queue the pool workers
-    feed.  The queue exists only when ``progress`` is set, so the
-    default pool path is untouched.
+    cache hits a lone ``done``/``"cached"``.  Pool workers relay their
+    ``start`` events over a manager heartbeat queue, which exists only
+    when ``progress`` is set, so the default pool path is untouched.
     """
 
     def note(line: str) -> None:
@@ -205,7 +248,8 @@ def run_specs(
             seen.add(spec.fingerprint)
             unique.append(spec)
 
-    pending: List[Tuple[ExperimentSpec, str]] = []
+    pending: List[ExperimentSpec] = []
+    at_start: Dict[str, str] = {}
     statuses: Dict[str, str] = {}
     for spec in unique:
         status = store.status(spec)
@@ -215,77 +259,39 @@ def run_specs(
             if progress is not None:
                 progress(("done", spec.fingerprint, "cached"))
         else:
-            pending.append((spec, status))
+            pending.append(spec)
+            at_start[spec.fingerprint] = status
 
     errors: Dict[str, str] = {}
-    if pending:
-        if workers > 1:
-            context = multiprocessing.get_context()
-            manager = None
-            heartbeats = None
-            if progress is not None:
-                manager = context.Manager()
-                heartbeats = manager.Queue()
-            args = [
-                (spec.to_json(), store.root, heartbeats)
-                for spec, _status in pending
-            ]
-            try:
-                with context.Pool(processes=workers) as pool:
-                    if heartbeats is None:
-                        for fingerprint, error in pool.imap_unordered(
-                            _pool_worker, args
-                        ):
-                            if error is not None:
-                                errors[fingerprint] = error
-                    else:
-                        described = {
-                            spec.fingerprint: spec.describe()
-                            for spec, _status in pending
-                        }
-                        at_send = {
-                            spec.fingerprint: status
-                            for spec, status in pending
-                        }
-                        result = pool.map_async(_pool_worker, args)
-                        while not result.ready():
-                            _drain_heartbeats(
-                                heartbeats, progress, described,
-                                at_send, wait_s=0.2,
-                            )
-                        _drain_heartbeats(
-                            heartbeats, progress, described, at_send
-                        )
-                        for fingerprint, error in result.get():
-                            if error is not None:
-                                errors[fingerprint] = error
-            finally:
-                if manager is not None:
-                    manager.shutdown()
+
+    def finished(spec: ExperimentSpec, error: Optional[str]) -> None:
+        if error is not None:
+            errors[spec.fingerprint] = error
+            status = "error"
+        elif at_start[spec.fingerprint] == "invalid":
+            status = "reran"
         else:
-            for spec, status in pending:
-                if progress is not None:
-                    progress(("start", spec.fingerprint, spec.describe()))
-                try:
-                    execute_spec(spec, store)
-                except Exception:  # noqa: BLE001 - reported per-spec
-                    errors[spec.fingerprint] = traceback.format_exc()
-                if progress is not None:
-                    if spec.fingerprint in errors:
-                        done = "error"
-                    else:
-                        done = "reran" if status == "invalid" else "ran"
-                    progress(("done", spec.fingerprint, done))
-        for spec, status in pending:
-            if spec.fingerprint in errors:
-                statuses[spec.fingerprint] = "error"
-                note(f"{spec.fingerprint}  ERROR   {spec.describe()}")
+            status = "ran"
+        statuses[spec.fingerprint] = status
+        if progress is not None:
+            progress(("done", spec.fingerprint, status))
+
+    if workers > 1 and pending:
+        _run_pool(pending, store.root, workers, progress, finished)
+    else:
+        for spec in pending:
+            if progress is not None:
+                progress(("start", spec.fingerprint, spec.describe()))
+            try:
+                execute_spec(spec, store)
+            except Exception:  # noqa: BLE001 - reported per-spec
+                finished(spec, traceback.format_exc())
             else:
-                verb = "reran " if status == "invalid" else "ran   "
-                statuses[spec.fingerprint] = (
-                    "reran" if status == "invalid" else "ran"
-                )
-                note(f"{spec.fingerprint}  {verb} {spec.describe()}")
+                finished(spec, None)
+    verbs = {"error": "ERROR  ", "reran": "reran ", "ran": "ran   "}
+    for spec in pending:
+        verb = verbs[statuses[spec.fingerprint]]
+        note(f"{spec.fingerprint}  {verb} {spec.describe()}")
 
     return [
         RunOutcome(

@@ -7,17 +7,22 @@ the rendered report.  The record is written **last** and atomically
 (temp file + ``os.replace``), so its presence is the commit marker: a
 crash mid-run leaves sidecars without a record, which :meth:`RunStore.status`
 reports as a miss, and a truncated or hand-edited record fails
-validation and is re-run rather than served.
+validation and is re-run rather than served.  A record whose
+``code_digest`` is absent or differs from the running code's was
+computed by other code: it stays readable, but the runner re-runs it.
 
 Records carry no wall-clock fields and every run is deterministic, so a
-re-run of an unchanged spec reproduces the record **byte-for-byte** —
-the property the resumability tests pin.
+re-run of an unchanged spec on unchanged code reproduces the record
+**byte-for-byte** — the property the resumability tests pin.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import pathlib
 import tempfile
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -27,6 +32,7 @@ __all__ = [
     "RECORD_SCHEMA",
     "StoreError",
     "RunStore",
+    "code_digest",
     "dumps_record",
 ]
 
@@ -39,6 +45,23 @@ _REQUIRED = ("schema", "fingerprint", "spec", "code_version", "workload")
 
 class StoreError(ValueError):
     """A record is missing, unreadable, or fails validation."""
+
+
+@functools.lru_cache(maxsize=1)
+def code_digest() -> str:
+    """SHA-256 over the sorted (relative path, bytes) pairs of every
+    ``repro/**/*.py`` source file; computed once per process."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sources = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative, path in sources:
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def dumps_record(record: Dict) -> str:
@@ -140,14 +163,16 @@ class RunStore:
                 raise StoreError(f"missing {kind} sidecar {relative!r}")
 
     def status(self, spec: ExperimentSpec) -> str:
-        """``"hit"`` (valid record), ``"invalid"`` (present but bad) or
-        ``"miss"``."""
+        """``"hit"`` (valid record of the running code), ``"invalid"``
+        (present but bad, or computed by other code) or ``"miss"``."""
         path = self.record_path(spec.fingerprint)
         if not os.path.exists(path):
             return "miss"
         try:
-            self.load(spec.fingerprint)
+            record = self.load(spec.fingerprint)
         except StoreError:
+            return "invalid"
+        if record.get("code_digest") != code_digest():
             return "invalid"
         return "hit"
 

@@ -1,19 +1,23 @@
 """Fleet workloads: what one :class:`ExperimentSpec` actually runs.
 
-Every workload maps a spec to a :class:`FleetResult` — virtual-time
-samples, a critical-path attribution vector, the telemetry collector (for
-the Chrome-trace sidecar), the health monitor's trips, and any rendered
-report text.  Workloads reuse the existing entry points rather than
-inventing new measurement paths:
+Every workload maps a spec to a :class:`repro.bench.core.BenchRun` —
+virtual-time samples, a critical-path attribution vector, the telemetry
+collector (for the Chrome-trace sidecar), the health monitor's trips,
+and any rendered report text.  Unit and direction are stated once, on
+the registered :class:`FleetWorkload`.  The measured workloads are the
+benchmark drivers of :mod:`repro.bench.workloads`, run on the spec's
+machine:
 
-* ``coll`` — the collectives study cell (:mod:`repro.study.collectives`
-  semantics): ``mode`` ∈ ``nx`` / ``tree-host`` / ``tree-nic`` barriers
-  on ``spec.nodes`` ranks, samples = per-operation barrier span
-  durations, attribution from :func:`repro.telemetry.critpath.aggregate`.
-* ``ping`` — the bench ping shape: ``spec.nodes - 1`` senders streaming
-  into node 0, samples = ``vmmc.send`` span durations.
-* ``serve`` — a :class:`repro.serve.ServeCluster` run; samples =
-  ``serve.request`` span durations, goodput in ``metrics``.
+* ``coll`` — the collectives study's barrier (the mode → NX-world
+  policy is :func:`repro.study.collectives.nx_barrier`): ``mode`` ∈
+  ``nx`` / ``tree-host`` / ``tree-nic`` barriers on ``spec.nodes``
+  ranks, samples = per-operation barrier span durations, attribution
+  from :func:`repro.telemetry.critpath.aggregate`.
+* ``ping`` — :func:`repro.bench.workloads.ping_run`: ``spec.nodes - 1``
+  senders streaming into node 0, samples = ``vmmc.send`` span durations.
+* ``serve`` — :func:`repro.bench.workloads.serve_run`; samples =
+  ``serve.request`` span durations, goodput and SLO counts in
+  ``metrics``.
 * ``shard`` — the large-mesh packet model (:mod:`repro.shard`) at
   ``spec.nodes``; samples = per-delivery latencies in virtual time,
   counters in ``metrics``.  Worker count never changes the result (the
@@ -25,18 +29,21 @@ inventing new measurement paths:
 
 Platforms come from :mod:`repro.study.platforms`; fault plans are the
 named entries of :data:`FAULT_PLANS` so a catalog can say
-``"fault_plan": ["none", "drop1"]`` and stay declarative.
+``"fault_plan": ["none", "drop1"]`` and stay declarative.  Imports of
+the simulator stay inside the runners: ``import repro`` imports this
+module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from ..telemetry import critpath
+if TYPE_CHECKING:
+    from ..bench.core import BenchRun
+    from .catalog import ExperimentSpec
 
 __all__ = [
-    "FleetResult",
     "FleetWorkload",
     "WORKLOADS",
     "FAULT_PLANS",
@@ -44,28 +51,6 @@ __all__ = [
     "resolve_workload",
     "workload_names",
 ]
-
-
-@dataclass
-class FleetResult:
-    """Everything one workload run hands to the record builder."""
-
-    unit: str
-    higher_is_better: bool
-    samples: List[float]
-    attribution: Optional[Dict[str, float]] = None
-    #: Operations the attribution sums over.
-    ops: int = 0
-    #: The run's telemetry collector (None: no trace sidecar).
-    telemetry: object = None
-    #: The run's health monitor (None: not armed).
-    monitor: object = None
-    #: Virtual time at the end of the run.
-    virtual_end_us: float = 0.0
-    #: Workload-specific scalar metrics (goodput, packet counts, ...).
-    metrics: Dict[str, float] = field(default_factory=dict)
-    #: Rendered report text (None: no report sidecar).
-    report: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -76,7 +61,7 @@ class FleetWorkload:
     unit: str
     higher_is_better: bool
     description: str
-    run: Callable[["ExperimentSpec"], FleetResult]
+    run: Callable[[ExperimentSpec], BenchRun]
 
 
 #: Named fault environments a catalog can select declaratively.
@@ -137,55 +122,21 @@ def _machine(spec, num_nodes: int):
     return machine
 
 
-def _span_samples(telemetry, span_name: str) -> List[float]:
-    """Per-operation durations with each node's cold first op dropped."""
-    by_node: Dict[int, list] = {}
-    for root in critpath.operation_roots(telemetry, span_name):
-        by_node.setdefault(root.node, []).append(root)
-    samples: List[float] = []
-    for spans in by_node.values():
-        spans.sort(key=lambda span: span.start)
-        samples.extend(span.duration for span in spans[1:])
-    if not samples:
-        samples = [
-            span.duration
-            for span in critpath.operation_roots(telemetry, span_name)
-        ]
-    return samples
-
-
-_COLL_MODES = ("nx", "tree-host", "tree-nic")
-_COLL_SPAN = {
-    "nx": "nx.gsync",
-    "tree-host": "coll.barrier",
-    "tree-nic": "coll.barrier",
-}
-
-
-def _run_coll(spec) -> FleetResult:
-    from ..coll import CollConfig
+def _run_coll(spec) -> BenchRun:
+    from ..bench.workloads import measure_spans
     from ..msg import NXWorld
+    from ..study.collectives import nx_barrier
     from ..vmmc import VMMCRuntime
 
-    mode = spec.param("mode", "tree-nic")
     ops = int(spec.param("ops", 8))
-    if mode not in _COLL_MODES:
-        raise ValueError(
-            f"unknown coll mode {mode!r}; choose from {_COLL_MODES}"
-        )
+    coll, span_name = nx_barrier(spec.param("mode", "tree-nic"))
     machine = _machine(spec, spec.nodes)
-    vmmc = VMMCRuntime(machine)
-    coll = None
-    if mode == "tree-host":
-        coll = CollConfig(backend="host")
-    elif mode == "tree-nic":
-        coll = CollConfig(backend="nic")
-    world = NXWorld(vmmc, spec.nodes, coll=coll)
+    world = NXWorld(VMMCRuntime(machine), spec.nodes, coll=coll)
 
     def worker(rank: int):
         nx = yield from world.join(rank, machine.create_process(rank))
         # Warmup barrier absorbs the join rendezvous skew; its spans are
-        # the cold ops _span_samples drops.
+        # the cold ops span_samples drops.
         yield from nx.gsync()
         for _ in range(ops):
             yield from nx.gsync()
@@ -193,19 +144,9 @@ def _run_coll(spec) -> FleetResult:
     for rank in range(spec.nodes):
         machine.sim.spawn(worker(rank), f"fleet.coll.r{rank}")
     machine.sim.run()
-
-    telemetry = machine.telemetry
-    span_name = _COLL_SPAN[mode]
-    agg = critpath.aggregate(telemetry, span_name, top=0)
-    return FleetResult(
-        unit="us",
-        higher_is_better=False,
-        samples=_span_samples(telemetry, span_name),
-        attribution=agg.components,
-        ops=agg.count,
-        telemetry=telemetry,
-        monitor=machine.monitor,
-        virtual_end_us=machine.now,
+    return measure_spans(
+        machine,
+        span_name,
         metrics={
             "coll_packets": float(
                 machine.stats.counter_value("coll.packets")
@@ -214,64 +155,22 @@ def _run_coll(spec) -> FleetResult:
     )
 
 
-def _run_ping(spec) -> FleetResult:
-    from ..vmmc import ReliableConfig, VMMCRuntime
+def _run_ping(spec) -> BenchRun:
+    from ..bench.workloads import PING_OPS, ping_run
 
-    nbytes = int(spec.param("nbytes", 4096))
-    ops = int(spec.param("ops", 9))
-    reliable = bool(spec.param("reliable", False))
     senders = max(1, spec.nodes - 1)
-    machine = _machine(spec, senders + 1)
-    vmmc = VMMCRuntime(machine)
-    receiver = vmmc.endpoint(machine.create_process(0))
-    payload = (bytes(range(256)) * (-(-nbytes // 256)))[:nbytes]
-
-    def rx():
-        buffers = []
-        for s in range(senders):
-            buffer = yield from receiver.export(nbytes, name=f"fleet.{s}")
-            buffers.append(buffer)
-        for buffer in buffers:
-            yield from receiver.wait_bytes(buffer, nbytes * ops)
-
-    def tx(s: int):
-        endpoint = vmmc.endpoint(machine.create_process(s + 1))
-        imported = yield from endpoint.import_buffer(f"fleet.{s}")
-        src = endpoint.alloc(nbytes)
-        endpoint.poke(src, payload)
-        if reliable:
-            channel = endpoint.open_reliable(
-                imported, ReliableConfig(timeout_us=300.0)
-            )
-            for _ in range(ops):
-                yield from channel.send(src, nbytes)
-        else:
-            for _ in range(ops):
-                yield from endpoint.send(
-                    imported, src, nbytes, sync_delivered=True
-                )
-
-    machine.sim.spawn(rx(), "fleet.rx")
-    for s in range(senders):
-        machine.sim.spawn(tx(s), f"fleet.tx{s}")
-    machine.sim.run()
-
-    telemetry = machine.telemetry
-    agg = critpath.aggregate(telemetry, "vmmc.send", top=0)
-    return FleetResult(
-        unit="us",
-        higher_is_better=False,
-        samples=_span_samples(telemetry, "vmmc.send"),
-        attribution=agg.components,
-        ops=agg.count,
-        telemetry=telemetry,
-        monitor=machine.monitor,
-        virtual_end_us=machine.now,
+    return ping_run(
+        _machine(spec, senders + 1),
+        senders,
+        nbytes=int(spec.param("nbytes", 4096)),
+        ops=int(spec.param("ops", PING_OPS)),
+        reliable=bool(spec.param("reliable", False)),
     )
 
 
-def _run_serve(spec) -> FleetResult:
-    from ..serve import ServeCluster, ServeConfig
+def _run_serve(spec) -> BenchRun:
+    from ..bench.workloads import serve_run
+    from ..serve import ServeConfig
 
     if spec.fault_plan != "none":
         raise ValueError(
@@ -289,35 +188,10 @@ def _run_serve(spec) -> FleetResult:
         offered_rps=float(spec.param("rps", 40_000.0)),
         duration_us=float(spec.param("duration_us", 5_000.0)),
     )
-    cluster = ServeCluster(config, seed=spec.seed, telemetry=True)
-    report = cluster.run()
-    machine = cluster.machine
-    telemetry = machine.telemetry
-    agg = critpath.aggregate(telemetry, "serve.request", top=0)
-    samples = [
-        span.duration
-        for span in critpath.operation_roots(telemetry, "serve.request")
-    ]
-    return FleetResult(
-        unit="us",
-        higher_is_better=False,
-        samples=samples,
-        attribution=agg.components,
-        ops=agg.count,
-        telemetry=telemetry,
-        monitor=machine.monitor,
-        virtual_end_us=machine.now,
-        metrics={
-            "goodput_rps": report.goodput_rps,
-            "ok": float(report.ok),
-            "late": float(report.late),
-            "failed": float(report.failed),
-        },
-        report=report.render(),
-    )
+    return serve_run(config, spec.seed)
 
 
-def _run_shard(spec) -> FleetResult:
+def _run_shard(spec) -> BenchRun:
     """The large-mesh shard model at ``spec.nodes`` (virtual time only).
 
     Samples are per-delivery latencies; counters (packets, events, hops)
@@ -326,6 +200,7 @@ def _run_shard(spec) -> FleetResult:
     the shard contract makes the result independent of the worker count —
     ``workers`` only changes how fast the same bytes are produced.
     """
+    from ..bench.core import BenchRun
     from ..shard import run_serial, run_sharded, spec_for_nodes
 
     _require_defaults(spec, nodes_free=True)
@@ -341,9 +216,7 @@ def _run_shard(spec) -> FleetResult:
     result = (
         run_sharded(shard_spec, workers) if workers > 1 else run_serial(shard_spec)
     )
-    return FleetResult(
-        unit="us",
-        higher_is_better=False,
+    return BenchRun(
         samples=result.latency_samples(),
         ops=result.packets_delivered,
         virtual_end_us=result.virtual_end_us,
@@ -376,26 +249,24 @@ def _require_defaults(spec, *, nodes_free: bool = False) -> None:
         )
 
 
-def _run_bench(spec) -> FleetResult:
-    from ..bench.core import REGISTRY, select
+def _bench_spec(workload: str):
+    """The registered benchmark a ``bench:<name>`` workload names."""
+    from ..bench.core import select
 
+    return select([workload.split(":", 1)[1]])[0]
+
+
+def _run_bench(spec) -> BenchRun:
     _require_defaults(spec)
-    name = spec.workload.split(":", 1)[1]
-    select([name])  # populates REGISTRY and validates the name
-    bench_spec = REGISTRY[name]
+    bench_spec = _bench_spec(spec.workload)
     run = bench_spec.runner(spec.seed)
     if not run.samples:
-        raise RuntimeError(f"benchmark {name} produced no samples")
-    return FleetResult(
-        unit=bench_spec.unit,
-        higher_is_better=bench_spec.higher_is_better,
-        samples=list(run.samples),
-        attribution=run.attribution,
-        ops=run.ops,
-    )
+        raise RuntimeError(f"benchmark {bench_spec.name} produced no samples")
+    return run
 
 
-def _run_study(spec) -> FleetResult:
+def _run_study(spec) -> BenchRun:
+    from ..bench.core import BenchRun
     from ..study import default_runner
     from ..study.__main__ import FAMILIES
 
@@ -407,12 +278,7 @@ def _run_study(spec) -> FleetResult:
         )
     _description, _in_all, emitter = FAMILIES[family]
     text = emitter(default_runner, spec.nodes)
-    return FleetResult(
-        unit="report",
-        higher_is_better=False,
-        samples=[],
-        report=text,
-    )
+    return BenchRun(samples=[], report=text)
 
 
 #: Directly registered workloads (the ``bench:``/``study:`` prefixes are
@@ -459,9 +325,10 @@ def resolve_workload(name: str) -> FleetWorkload:
     if name in WORKLOADS:
         return WORKLOADS[name]
     if name.startswith("bench:"):
+        bench_spec = _bench_spec(name)
         return FleetWorkload(
-            name, "?", False, "curated benchmark (see repro.bench)",
-            _run_bench,
+            name, bench_spec.unit, bench_spec.higher_is_better,
+            bench_spec.description, _run_bench,
         )
     if name.startswith("study:"):
         return FleetWorkload(

@@ -27,7 +27,7 @@ byte-stable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..coll import CollConfig
 from ..msg import NXWorld
@@ -42,30 +42,31 @@ __all__ = [
     "coll_cell",
     "coll_study",
     "format_coll_study",
+    "nx_barrier",
 ]
 
 DEFAULT_COLL_MODES = ("nx", "tree-host", "tree-nic")
 DEFAULT_COLL_NODES = (4, 8, 16)
 
-_BARRIER_SPAN = {
-    "nx": "nx.gsync",
-    "tree-host": "coll.barrier",
-    "tree-nic": "coll.barrier",
-}
+
+def nx_barrier(mode: str) -> Tuple[Optional[CollConfig], str]:
+    """The ``NXWorld`` coll config of one placement, and the name of the
+    span its barrier (``gsync``) records."""
+    if mode == "nx":
+        return None, "nx.gsync"
+    if mode in ("tree-host", "tree-nic"):
+        return CollConfig(backend=mode[len("tree-"):]), "coll.barrier"
+    raise ValueError(
+        f"unknown collectives mode {mode!r}; "
+        f"choose from {DEFAULT_COLL_MODES}"
+    )
 
 
 def coll_cell(mode: str, nodes: int, ops: int = 8, seed: int = 1998) -> Dict:
     """One cell: ``ops`` barriers then ``ops`` allreduces on ``nodes`` ranks."""
-    if mode not in DEFAULT_COLL_MODES:
-        raise ValueError(f"unknown collectives mode {mode!r}")
+    coll, barrier_span = nx_barrier(mode)
     machine = Machine(num_nodes=nodes, seed=seed, telemetry=True)
-    vmmc = VMMCRuntime(machine)
-    coll = None
-    if mode == "tree-host":
-        coll = CollConfig(backend="host")
-    elif mode == "tree-nic":
-        coll = CollConfig(backend="nic")
-    world = NXWorld(vmmc, nodes, coll=coll)
+    world = NXWorld(VMMCRuntime(machine), nodes, coll=coll)
     marks: Dict[str, float] = {}
 
     def worker(rank: int):
@@ -90,7 +91,7 @@ def coll_cell(mode: str, nodes: int, ops: int = 8, seed: int = 1998) -> Dict:
     machine.sim.run()
 
     tel = machine.telemetry
-    agg = aggregate(tel, _BARRIER_SPAN[mode], top=0)
+    agg = aggregate(tel, barrier_span, top=0)
     barrier_us = agg.total_us / agg.count if agg.count else 0.0
     return {
         "mode": mode,

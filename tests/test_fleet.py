@@ -7,12 +7,16 @@ The load-bearing properties pinned here:
 * a fresh run and a cache hit yield **byte-identical** ``record.json``;
 * a two-worker parallel fan-out produces the same records as a serial
   run of the same catalog;
-* a corrupted or partially-written record is detected and re-run, never
-  served.
+* a corrupted or partially-written record, or one computed by other
+  code, is detected and re-run, never served;
+* a worker process that dies fails its specs instead of hanging the run;
+* the ``ping`` and ``serve`` workloads are the benchmark drivers.
 """
 
 import json
+import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -27,7 +31,10 @@ from repro.fleet import (
     make_spec,
     run_specs,
 )
+from repro.bench.core import make_entry, select
+from repro.fleet import workloads
 from repro.fleet.runner import build_record, execute_spec
+from repro.fleet.store import code_digest, dumps_record
 from repro.fleet.workloads import resolve_workload, workload_names
 
 # Small, fast specs reused across the module: the published comparison
@@ -151,6 +158,13 @@ def test_builtin_matrices_and_workload_registry_expand():
     assert "coll" in names and "ping" in names and "serve" in names
     with pytest.raises(ValueError):
         resolve_workload("no-such-workload")
+    # bench: workloads carry the registered benchmark's own metadata,
+    # and an unknown benchmark fails when it is resolved.
+    bench = resolve_workload("bench:du_bulk_bandwidth")
+    assert (bench.unit, bench.higher_is_better) == ("MB/s", True)
+    assert bench.description == "64 KB deliberate-update bandwidth"
+    with pytest.raises(ValueError):
+        resolve_workload("bench:no-such-benchmark")
 
 
 # -- record building -----------------------------------------------------
@@ -301,3 +315,99 @@ def test_build_record_embeds_bench_schema_entry():
                 "min", "max", "p95"):
         assert key in entry, key
     assert "trace.json" in sidecars
+
+
+# -- stale code and dead workers -----------------------------------------
+
+
+def test_record_of_other_code_is_rerun_but_still_readable(tmp_path):
+    store = RunStore(str(tmp_path / "runs"))
+    run_specs([SPEC_NX], store)
+    good = _record_bytes(store, SPEC_NX.fingerprint)
+    record = json.loads(good)
+    assert record["code_digest"] == code_digest()
+    assert [o.status for o in run_specs([SPEC_NX], store)] == ["cached"]
+
+    path = store.record_path(SPEC_NX.fingerprint)
+    record["code_digest"] = "0" * 64
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_record(record))
+    assert store.load(SPEC_NX.fingerprint)["code_digest"] == "0" * 64
+    assert [fp for fp, _r in store.records()] == [SPEC_NX.fingerprint]
+    assert store.status(SPEC_NX) == "invalid"
+    assert [o.status for o in run_specs([SPEC_NX], store)] == ["reran"]
+    assert _record_bytes(store, SPEC_NX.fingerprint) == good
+
+    # A record from before the digest existed is stale as well.
+    del record["code_digest"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_record(record))
+    assert store.status(SPEC_NX) == "invalid"
+
+
+def test_dead_worker_fails_its_specs_instead_of_hanging(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a forked worker is needed to inherit the dying workload")
+    monkeypatch.setitem(
+        workloads.WORKLOADS,
+        "die",
+        workloads.FleetWorkload(
+            "die", "us", False, "exits its worker process",
+            lambda spec: os._exit(1),
+        ),
+    )
+    dying = make_spec("die", nodes=4)
+    store = RunStore(str(tmp_path / "runs"))
+    outcomes = []
+    runner = threading.Thread(
+        target=lambda: outcomes.extend(
+            run_specs([dying, SPEC_NX], store, workers=2)
+        ),
+        daemon=True,
+    )
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "run_specs hung on a dead worker"
+    statuses = {o.fingerprint: o.status for o in outcomes}
+    assert statuses[dying.fingerprint] == "error"
+    for outcome in outcomes:
+        if outcome.status == "error":
+            assert outcome.fingerprint in outcome.error
+    assert store.status(dying) == "miss"
+
+
+# -- the fleet runs the benchmark drivers --------------------------------
+
+
+def _bench_run(name):
+    return select([name])[0].runner(1998)
+
+
+@pytest.mark.parametrize(
+    "nodes, bench", [(2, "du_ping_4k"), (4, "du_fanin_4k")]
+)
+def test_fleet_ping_is_the_bench_ping(nodes, bench):
+    spec = make_spec("ping", nodes=nodes, nbytes=4096, ops=9, seed=1998)
+    run = resolve_workload("ping").run(spec)
+    expected = _bench_run(bench)
+    assert run.samples == expected.samples
+    assert run.attribution == expected.attribution
+    assert run.ops == expected.ops
+
+
+def test_fleet_serve_is_the_bench_serve(tmp_path):
+    store = RunStore(str(tmp_path / "runs"))
+    spec = make_spec("serve", nodes=4, seed=1998)
+    execute_spec(spec, store)
+    record = store.load(spec.fingerprint)
+    expected = _bench_run("serve_request_latency")
+    entry = make_entry(
+        "us", False, expected.samples, expected.attribution, expected.ops
+    )
+    assert record["bench"]["samples"] == entry["samples"]
+    assert record["bench"]["attribution"] == entry["attribution"]
+    metrics = record["metrics"]
+    assert (metrics["ok"], metrics["late"], metrics["failed"]) == (
+        201.0, 0.0, 0.0,
+    )
+    assert store.artifact_path(record, "report")

@@ -267,18 +267,25 @@ def test_fleet_progress_events(tmp_path):
     from repro.fleet.runner import run_specs
     from repro.fleet.store import RunStore
 
-    store = RunStore(str(tmp_path / "runs"))
     specs = load_catalog("smoke").specs[:2]
-    events = []
-    run_specs(specs, store, progress=events.append)
-    starts = [e for e in events if e[0] == "start"]
-    dones = [e for e in events if e[0] == "done"]
-    assert len(starts) == 2 and len(dones) == 2
-    assert all(status == "ran" for _k, _fp, status in dones)
-    # Second pass: all cache hits, reported as lone done events.
-    events.clear()
-    run_specs(specs, store, progress=events.append)
-    assert [e[2] for e in events] == ["cached", "cached"]
+    # Inline, then through the worker pool's heartbeat queue.
+    for workers in (1, 2):
+        store = RunStore(str(tmp_path / f"runs{workers}"))
+        events = []
+        run_specs(specs, store, workers=workers, progress=events.append)
+        starts = [e for e in events if e[0] == "start"]
+        dones = [e for e in events if e[0] == "done"]
+        assert len(starts) == 2 and len(dones) == 2
+        assert all(status == "ran" for _k, _fp, status in dones)
+        order = [(kind, fingerprint) for kind, fingerprint, _x in events]
+        for spec in specs:
+            assert order.index(("start", spec.fingerprint)) < order.index(
+                ("done", spec.fingerprint)
+            )
+        # Second pass: all cache hits, reported as lone done events.
+        events.clear()
+        run_specs(specs, store, workers=workers, progress=events.append)
+        assert [e[2] for e in events] == ["cached", "cached"]
 
 
 # -- bounded telemetry retention ----------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the experiment harness: configs, runner, tables, figures."""
 
+import hashlib
+
 import pytest
 
 from repro.study import (
@@ -199,6 +201,21 @@ def test_coll_study_cell_and_formatting():
     text = format_coll_study([nx, host, nic])
     assert "NIC-side barrier speedup" in text
     assert "tree-nic" in text and "tree-host" in text
+
+
+#: sha256 of ``python -m repro.study coll``'s stdout.  ``coll`` is not
+#: part of ``study all``, so this is the identity gate of ``coll_cell``.
+STUDY_COLL_SHA256 = (
+    "f597115cb2e347137adb16f8083a297b400ccec9f765bda5f582d4975c02f4af"
+)
+
+
+def test_cli_coll_output_matches_golden_hash(capsys):
+    from repro.study.__main__ import main
+
+    assert main(["coll"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STUDY_COLL_SHA256
 
 
 def test_cli_list_prints_machine_readable_registry(capsys):
