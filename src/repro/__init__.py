@@ -16,27 +16,12 @@ Quick start::
     ...
 
 See ``examples/quickstart.py`` for a complete program.
+
+The exports below load on first use (PEP 562), so ``import repro`` alone
+imports no subsystem.
 """
 
-from .coll import Collective, CollConfig, CollWorld
-from .faults import FaultConfig, FaultPlan
-from .fleet import Catalog, ExperimentSpec, RunStore, make_spec, run_specs
-from .hardware import DEFAULT_PARAMS, MachineParams
-from .monitor import HealthMonitor, MonitorConfig, Postmortem
-from .nic import DEFAULT_NIC_CONFIG, NICConfig
-from .node import Machine, Node, NodeProcess
-from .obs import MetricsRegistry, ObsConfig, SamplingProfiler
-from .serve import ServeCluster, ServeConfig, SloReport
-from .shard import ShardSpec, run_serial, run_sharded, spec_for_nodes
-from .sim import Simulator, Timeout
-from .telemetry import Telemetry
-from .vmmc import (
-    DeliveryFailed,
-    ReliableChannel,
-    ReliableConfig,
-    VMMCEndpoint,
-    VMMCRuntime,
-)
+import importlib
 
 __version__ = "1.8.0"
 
@@ -81,3 +66,34 @@ __all__ = [
     "Timeout",
     "__version__",
 ]
+
+#: export -> the subpackage that defines it.
+_SOURCES = {
+    name: package
+    for package, names in (
+        ("coll", "Collective CollConfig CollWorld"),
+        ("faults", "FaultConfig FaultPlan"),
+        ("fleet", "Catalog ExperimentSpec RunStore make_spec run_specs"),
+        ("hardware", "DEFAULT_PARAMS MachineParams"),
+        ("monitor", "HealthMonitor MonitorConfig Postmortem"),
+        ("nic", "DEFAULT_NIC_CONFIG NICConfig"),
+        ("node", "Machine Node NodeProcess"),
+        ("obs", "MetricsRegistry ObsConfig SamplingProfiler"),
+        ("serve", "ServeCluster ServeConfig SloReport"),
+        ("shard", "ShardSpec run_serial run_sharded spec_for_nodes"),
+        ("sim", "Simulator Timeout"),
+        ("telemetry", "Telemetry"),
+        ("vmmc", "DeliveryFailed ReliableChannel ReliableConfig "
+                 "VMMCEndpoint VMMCRuntime"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    package = importlib.import_module(f".{_SOURCES[name]}", __name__)
+    value = getattr(package, name)
+    globals()[name] = value
+    return value

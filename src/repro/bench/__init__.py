@@ -34,9 +34,7 @@ from .compare import (
     render_comparison,
 )
 from .core import (
-    REGISTRY,
     BenchRun,
-    BenchSpec,
     load_bench,
     render_summary,
     run_benchmarks,
@@ -55,12 +53,12 @@ from .perf import (
     select_perf,
     write_perf,
 )
-from . import workloads  # noqa: F401  (populates REGISTRY)
+from .workloads import CATALOG, Benchmark
 
 __all__ = [
     "BenchRun",
-    "BenchSpec",
-    "REGISTRY",
+    "Benchmark",
+    "CATALOG",
     "select",
     "run_benchmarks",
     "write_bench",

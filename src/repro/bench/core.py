@@ -1,12 +1,13 @@
 """The benchmark harness: run the curated set, emit ``BENCH_<label>.json``.
 
-Every benchmark is a :class:`BenchSpec` whose runner maps a seed to a
-:class:`BenchRun` — one or more **virtual-time** samples plus an optional
-critical-path attribution vector.  The harness runs each benchmark once
-per seed, pools the samples (paired across files by position, so two runs
-with the same seed list compare sample-for-sample), and serializes a
-deterministic JSON document: no wall-clock or host fields, so a committed
-baseline reproduces byte-for-byte on any machine.
+Every benchmark is a named fleet spec (a row of
+:data:`repro.bench.workloads.CATALOG`) whose workload maps the spec at a
+seed to a :class:`BenchRun` — one or more **virtual-time** samples plus
+an optional critical-path attribution vector.  The harness runs each
+benchmark once per seed, pools the samples (paired across files by
+position, so two runs with the same seed list compare sample-for-sample),
+and serializes a deterministic JSON document: no wall-clock or host
+fields, so a committed baseline reproduces byte-for-byte on any machine.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .workloads import Benchmark
 
 __all__ = [
     "SCHEMA_VERSION",
     "BenchRun",
-    "BenchSpec",
-    "REGISTRY",
-    "register",
     "select",
     "make_entry",
     "run_benchmarks",
@@ -59,61 +60,33 @@ class BenchRun:
     report: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BenchSpec:
-    """One entry in the curated benchmark set."""
-
-    name: str
-    unit: str
-    higher_is_better: bool
-    runner: Callable[[int], BenchRun]
-    #: Included in the --quick subset (CI-sized).
-    quick: bool = True
-    description: str = ""
-    #: Which benchmark suite the spec belongs to.  The default selection
-    #: runs only the ``"seed"`` suite, so the committed ``BENCH_seed.json``
-    #: baseline stays byte-identical as new suites (e.g. ``"serve"``) are
-    #: added; select others with ``--suite``.
-    suite: str = "seed"
-
-
-#: name -> spec, in registration order (dicts preserve it).
-REGISTRY: Dict[str, BenchSpec] = {}
-
-
-def register(spec: BenchSpec) -> BenchSpec:
-    if spec.name in REGISTRY:
-        raise ValueError(f"duplicate benchmark {spec.name!r}")
-    REGISTRY[spec.name] = spec
-    return spec
-
-
 def select(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
     suite: str = "seed",
-) -> List[BenchSpec]:
+) -> List[Benchmark]:
     """The benchmarks to run, validating any explicit name list.
 
     An explicit ``names`` list overrides the suite filter; otherwise only
-    specs of ``suite`` are selected.
+    rows of ``suite`` are selected.
     """
-    from . import workloads  # noqa: F401  (populates REGISTRY on import)
+    from .workloads import CATALOG
 
     if names:
-        unknown = [n for n in names if n not in REGISTRY]
+        by_name = {row.name: row for row in CATALOG}
+        unknown = [n for n in names if n not in by_name]
         if unknown:
             raise ValueError(
-                f"unknown benchmarks {unknown}; choose from {sorted(REGISTRY)}"
+                f"unknown benchmarks {unknown}; choose from {sorted(by_name)}"
             )
-        return [REGISTRY[n] for n in names]
-    specs = [s for s in REGISTRY.values() if s.suite == suite]
-    if not specs:
-        suites = sorted({s.suite for s in REGISTRY.values()})
+        return [by_name[n] for n in names]
+    rows = [row for row in CATALOG if row.suite == suite]
+    if not rows:
+        suites = sorted({row.suite for row in CATALOG})
         raise ValueError(f"unknown suite {suite!r}; choose from {suites}")
     if quick:
-        specs = [s for s in specs if s.quick]
-    return specs
+        rows = [row for row in rows if row.quick]
+    return rows
 
 
 def _percentile(samples: List[float], p: float) -> float:
@@ -176,33 +149,33 @@ def run_benchmarks(
     from .. import __version__
     from ..hardware import DEFAULT_PARAMS
 
-    specs = select(names, quick=quick, suite=suite)
     benchmarks: Dict[str, Dict] = {}
-    for spec in specs:
+    for row in select(names, quick=quick, suite=suite):
         samples: List[float] = []
         attribution: Dict[str, float] = {}
         ops = 0
         for seed in seeds:
-            run = spec.runner(seed)
+            run = row.run(seed)
             if not run.samples:
-                raise RuntimeError(f"benchmark {spec.name} produced no samples")
+                raise RuntimeError(f"benchmark {row.name} produced no samples")
             samples.extend(run.samples)
             if run.attribution is not None:
                 ops += run.ops
                 for key, value in run.attribution.items():
                     attribution[key] = attribution.get(key, 0.0) + value
+        workload = row.workload
         entry = make_entry(
-            spec.unit,
-            spec.higher_is_better,
+            workload.unit,
+            workload.higher_is_better,
             samples,
             attribution=attribution,
             ops=ops,
         )
-        benchmarks[spec.name] = entry
+        benchmarks[row.name] = entry
         if log is not None:
             log(
-                f"{spec.name}: n={len(samples)} median={entry['median']:.3f} "
-                f"{spec.unit}"
+                f"{row.name}: n={len(samples)} median={entry['median']:.3f} "
+                f"{workload.unit}"
             )
     return {
         "schema": SCHEMA_VERSION,

@@ -1,20 +1,29 @@
-"""The curated benchmark set.
+"""The curated benchmark set: a catalog of named fleet specs.
 
-Three families:
+Every benchmark is a :class:`Benchmark` row (name, spec, suite, quick),
+run at each seed by the one workload registry,
+:data:`repro.fleet.workloads.WORKLOADS`, where it is also registered as
+``bench:<name>``.  Families:
 
 * **micro** — the section 4.1 microbenchmarks (word latency, send
   overhead, bulk bandwidth), one sample per seed;
-* **ping** — telemetry-instrumented message streams whose per-operation
-  ``vmmc.send`` spans yield latency distributions *and* critical-path
-  attribution vectors (including a lossy reliable-channel variant, where
-  retransmission timeouts surface as ``stall``);
+* **ping** — ``ping`` specs: telemetry-instrumented message streams whose
+  per-operation ``vmmc.send`` spans yield latency distributions *and*
+  critical-path attribution vectors (including a lossy reliable-channel
+  variant on the ``drop10`` plan, where retransmission timeouts surface
+  as ``stall``);
 * **apps** — study-suite applications (full mode only): end-to-end
   elapsed time plus the aggregate attribution of every top-level
   operation in the run.
 
 Plus the growth-direction suites, gated by their own baselines rather
-than ``BENCH_seed.json``: **serve** (serving-tier latency/goodput) and
-**coll** (in-network collectives: barrier, allreduce, broadcast).
+than ``BENCH_seed.json``: **serve** (a 4-node ``serve`` spec, and MMPP
+goodput) and **coll** (in-network collectives over the ``CollWorld``
+API: barrier, allreduce, broadcast).  Runners with no parametric
+spelling (micro, apps, MMPP goodput, ``coll_*``) are the fixed workloads
+``bench:<name>``.  The workload shapes the harnesses share live here too:
+:func:`stream`, :func:`span_samples`, :func:`measure_spans`,
+:func:`ping_run` and :func:`serve_run`.
 
 Everything is seeded and measured in virtual time, so a benchmark's
 samples are a pure function of the code — which is what makes the
@@ -23,14 +32,20 @@ committed baseline comparable across machines.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import functools
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional
 
+from ..fleet.catalog import ExperimentSpec, make_spec
+from ..fleet.workloads import WORKLOADS, Workload, register, require_defaults
 from ..node import Machine
 from ..telemetry import critpath
 from ..vmmc import ReliableConfig, VMMCRuntime
-from .core import BenchRun, BenchSpec, register
+from .core import BenchRun
 
 __all__ = [
+    "Benchmark",
+    "CATALOG",
     "PING_OPS",
     "measure_spans",
     "ping_run",
@@ -43,11 +58,13 @@ __all__ = [
 PING_OPS = 9
 
 
-def _micro(fn: Callable[[], float]) -> Callable[[int], BenchRun]:
-    """Wrap a repro.study.micro function (deterministic; seed-independent)."""
+def _micro(name: str) -> Callable[[int], BenchRun]:
+    """A repro.study.micro function (deterministic; seed-independent)."""
 
     def runner(seed: int) -> BenchRun:
-        return BenchRun(samples=[fn()])
+        from ..study import micro
+
+        return BenchRun(samples=[getattr(micro, name)()])
 
     return runner
 
@@ -122,12 +139,21 @@ def span_samples(telemetry, span_name: str) -> List[float]:
     return samples or [span.duration for span in roots]
 
 
-def measure_spans(machine: Machine, span_name: str, **fields) -> BenchRun:
+def measure_spans(
+    machine: Machine,
+    span_name: str,
+    mean_as: Optional[str] = None,
+    **fields,
+) -> BenchRun:
     """A drained, telemetry-armed ``machine``'s run, measured over its
-    ``span_name`` operations; ``fields`` fill the rest of the result."""
+    ``span_name`` operations; ``fields`` fill the rest of the result.
+
+    ``mean_as`` names a metric that receives the mean duration over every
+    operation, cold ones included.
+    """
     telemetry = machine.telemetry
     agg = critpath.aggregate(telemetry, span_name, top=0)
-    return BenchRun(
+    run = BenchRun(
         samples=span_samples(telemetry, span_name),
         attribution=agg.components,
         ops=agg.count,
@@ -136,6 +162,9 @@ def measure_spans(machine: Machine, span_name: str, **fields) -> BenchRun:
         virtual_end_us=machine.now,
         **fields,
     )
+    if mean_as is not None:
+        run.metrics[mean_as] = agg.total_us / agg.count if agg.count else 0.0
+    return run
 
 
 def ping_run(
@@ -152,27 +181,6 @@ def ping_run(
     stream(machine, senders, nbytes, ops, reliable=reliable)
     machine.sim.run()
     return measure_spans(machine, "vmmc.send")
-
-
-def _ping(
-    seed: int,
-    nbytes: int,
-    senders: int = 1,
-    drop_rate: float = 0.0,
-    reliable: bool = False,
-) -> BenchRun:
-    fault_config = None
-    if drop_rate > 0.0:
-        from ..faults import FaultConfig
-
-        fault_config = FaultConfig(drop_rate=drop_rate)
-    machine = Machine(
-        num_nodes=senders + 1,
-        seed=seed,
-        telemetry=True,
-        fault_config=fault_config,
-    )
-    return ping_run(machine, senders, nbytes, reliable=reliable)
 
 
 def _app(
@@ -195,100 +203,6 @@ def _app(
         )
 
     return runner
-
-
-def _register_micro() -> None:
-    from ..study import micro
-
-    register(
-        BenchSpec(
-            "du_word_latency", "us", False, _micro(micro.du_word_latency),
-            description="one-word deliberate-update end-to-end latency",
-        )
-    )
-    register(
-        BenchSpec(
-            "au_word_latency", "us", False, _micro(micro.au_word_latency),
-            description="one-word automatic-update end-to-end latency",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_send_overhead", "us", False, _micro(micro.du_send_overhead),
-            description="send-side cost of an asynchronous deliberate update",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_bulk_bandwidth", "MB/s", True,
-            _micro(micro.du_bulk_bandwidth),
-            description="64 KB deliberate-update bandwidth",
-        )
-    )
-    register(
-        BenchSpec(
-            "au_bulk_bandwidth", "MB/s", True,
-            _micro(micro.au_bulk_bandwidth),
-            description="64 KB combined automatic-update bandwidth",
-        )
-    )
-
-
-def _register_pings() -> None:
-    register(
-        BenchSpec(
-            "du_ping_word", "us", False,
-            lambda seed: _ping(seed, nbytes=4),
-            description="4 B deliberate-update send, initiation to delivery",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_ping_4k", "us", False,
-            lambda seed: _ping(seed, nbytes=4096),
-            description="one-page deliberate-update send",
-        )
-    )
-    register(
-        BenchSpec(
-            "du_fanin_4k", "us", False,
-            lambda seed: _ping(seed, nbytes=4096, senders=3),
-            description="3-to-1 fan-in of one-page sends (contention)",
-        )
-    )
-    register(
-        BenchSpec(
-            "rel_ping_lossy", "us", False,
-            lambda seed: _ping(
-                seed, nbytes=4096, drop_rate=0.1, reliable=True
-            ),
-            description="reliable-channel send over a 10%-drop fabric",
-        )
-    )
-
-
-def _register_apps() -> None:
-    register(
-        BenchSpec(
-            "radix_vmmc_du", "us", False, _app("Radix-VMMC", "du", 4),
-            quick=False,
-            description="Radix-VMMC (du, P=4) elapsed time",
-        )
-    )
-    register(
-        BenchSpec(
-            "barnes_nx_du", "us", False, _app("Barnes-NX", "du", 4),
-            quick=False,
-            description="Barnes-NX (du, P=4) elapsed time",
-        )
-    )
-    register(
-        BenchSpec(
-            "radix_svm_au", "us", False, _app("Radix-SVM", "au", 4),
-            quick=False,
-            description="Radix-SVM (au, P=4) elapsed time",
-        )
-    )
 
 
 def serve_run(config, seed: int) -> BenchRun:
@@ -325,20 +239,6 @@ def serve_run(config, seed: int) -> BenchRun:
         },
         report=report.render(),
     )
-
-
-def _serve_latency(seed: int) -> BenchRun:
-    """A small hash-balanced tier (see :func:`serve_run`)."""
-    from ..serve import ServeConfig
-
-    config = ServeConfig(
-        num_shards=2,
-        num_aggregates=2,
-        balancer="hash",
-        offered_rps=40_000.0,
-        duration_us=5_000.0,
-    )
-    return serve_run(config, seed)
 
 
 def _serve_goodput(seed: int) -> BenchRun:
@@ -393,60 +293,130 @@ def _coll_ops(
     return measure_spans(machine, f"coll.{op}")
 
 
-def _register_coll() -> None:
-    register(
-        BenchSpec(
-            "coll_barrier_nic_16", "us", False,
-            lambda seed: _coll_ops(seed, "nic", 16, "barrier"),
-            suite="coll",
-            description="NIC-resident tree barrier, 16 nodes",
-        )
-    )
-    register(
-        BenchSpec(
-            "coll_barrier_host_16", "us", False,
-            lambda seed: _coll_ops(seed, "host", 16, "barrier"),
-            suite="coll",
-            description="host-backend tree barrier, 16 nodes",
-        )
-    )
-    register(
-        BenchSpec(
-            "coll_allreduce_nic_16", "us", False,
-            lambda seed: _coll_ops(seed, "nic", 16, "allreduce"),
-            suite="coll",
-            description="NIC-resident combining allreduce, 16 nodes",
-        )
-    )
-    register(
-        BenchSpec(
-            "coll_bcast_4k_nic_16", "us", False,
-            lambda seed: _coll_ops(seed, "nic", 16, "bcast"),
-            suite="coll",
-            description="switch-replicated 4 KB broadcast, 16 nodes",
-        )
-    )
+@dataclass(frozen=True)
+class Benchmark:
+    """One row of the benchmark catalog: a named fleet spec."""
+
+    name: str
+    spec: ExperimentSpec
+    #: Which benchmark suite the row belongs to.  The default selection
+    #: runs only the ``"seed"`` suite, so the committed ``BENCH_seed.json``
+    #: baseline stays byte-identical as new suites (e.g. ``"serve"``) are
+    #: added; select others with ``--suite``.
+    suite: str = "seed"
+    #: Included in the --quick subset (CI-sized).
+    quick: bool = True
+
+    @property
+    def workload(self) -> Workload:
+        return WORKLOADS[self.spec.workload]
+
+    def run(self, seed: int) -> BenchRun:
+        return self.workload.run(replace(self.spec, seed=seed))
 
 
-def _register_serve() -> None:
-    register(
-        BenchSpec(
-            "serve_request_latency", "us", False, _serve_latency,
-            suite="serve",
-            description="per-request latency, 2x2 tier, hash balancer",
-        )
-    )
-    register(
-        BenchSpec(
-            "serve_goodput_mmpp", "rps", True, _serve_goodput,
-            suite="serve",
-            description="goodput under bursty MMPP overload, p2c balancer",
-        )
-    )
+#: The benchmark set, in registration order.
+CATALOG: List[Benchmark] = []
 
 
-_register_micro()
-_register_pings()
-_register_apps()
-_register_serve()
-_register_coll()
+def _benchmark(
+    name: str,
+    description: str,
+    spec: Optional[ExperimentSpec] = None,
+    runner: Optional[Callable[[int], BenchRun]] = None,
+    unit: str = "us",
+    higher_is_better: bool = False,
+    **row,
+) -> None:
+    """Add a catalog row and register it as ``bench:<name>``, run at the
+    seed of the spec that names it.  ``spec`` spells the benchmark in a
+    parametric workload; without one, ``runner(seed)`` is the fixed
+    workload ``bench:<name>``."""
+    bench = Benchmark(name, spec or make_spec(f"bench:{name}"), **row)
+    if spec is not None:
+        workload = bench.workload
+        unit, higher_is_better = workload.unit, workload.higher_is_better
+        runner = bench.run
+
+    def run(fleet_spec: ExperimentSpec) -> BenchRun:
+        require_defaults(fleet_spec)
+        return runner(fleet_spec.seed)
+
+    register(
+        Workload(f"bench:{name}", unit, higher_is_better, description, run)
+    )
+    CATALOG.append(bench)
+
+
+for _name, _unit, _higher, _description in (
+    ("du_word_latency", "us", False,
+     "one-word deliberate-update end-to-end latency"),
+    ("au_word_latency", "us", False,
+     "one-word automatic-update end-to-end latency"),
+    ("du_send_overhead", "us", False,
+     "send-side cost of an asynchronous deliberate update"),
+    ("du_bulk_bandwidth", "MB/s", True, "64 KB deliberate-update bandwidth"),
+    ("au_bulk_bandwidth", "MB/s", True,
+     "64 KB combined automatic-update bandwidth"),
+):
+    _benchmark(
+        _name, _description, runner=_micro(_name), unit=_unit,
+        higher_is_better=_higher,
+    )
+
+_benchmark(
+    "du_ping_word", "4 B deliberate-update send, initiation to delivery",
+    make_spec("ping", nodes=2, nbytes=4),
+)
+_benchmark(
+    "du_ping_4k", "one-page deliberate-update send",
+    make_spec("ping", nodes=2, nbytes=4096),
+)
+_benchmark(
+    "du_fanin_4k", "3-to-1 fan-in of one-page sends (contention)",
+    make_spec("ping", nodes=4, nbytes=4096),
+)
+_benchmark(
+    "rel_ping_lossy", "reliable-channel send over a 10%-drop fabric",
+    make_spec("ping", nodes=2, fault_plan="drop10", nbytes=4096,
+              reliable=True),
+)
+
+for _name, _app_name, _mode in (
+    ("radix_vmmc_du", "Radix-VMMC", "du"),
+    ("barnes_nx_du", "Barnes-NX", "du"),
+    ("radix_svm_au", "Radix-SVM", "au"),
+):
+    _benchmark(
+        _name, f"{_app_name} ({_mode}, P=4) elapsed time",
+        runner=_app(_app_name, _mode, 4), quick=False,
+    )
+
+_benchmark(
+    "serve_request_latency", "per-request latency, 2x2 tier, hash balancer",
+    make_spec("serve", nodes=4), suite="serve",
+)
+_benchmark(
+    "serve_goodput_mmpp", "goodput under bursty MMPP overload, p2c balancer",
+    runner=_serve_goodput, unit="rps", higher_is_better=True, suite="serve",
+)
+
+# The coll_* benchmarks measure the CollWorld API itself, without the NX
+# rendezvous the fleet's ``coll`` workload goes through.
+for _name, _backend, _op, _description in (
+    ("coll_barrier_nic_16", "nic", "barrier",
+     "NIC-resident tree barrier, 16 nodes"),
+    ("coll_barrier_host_16", "host", "barrier",
+     "host-backend tree barrier, 16 nodes"),
+    ("coll_allreduce_nic_16", "nic", "allreduce",
+     "NIC-resident combining allreduce, 16 nodes"),
+    ("coll_bcast_4k_nic_16", "nic", "bcast",
+     "switch-replicated 4 KB broadcast, 16 nodes"),
+):
+    _benchmark(
+        _name, _description,
+        runner=functools.partial(
+            _coll_ops, backend=_backend, nodes=16, op=_op
+        ),
+        suite="coll",
+    )

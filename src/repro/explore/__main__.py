@@ -3,9 +3,10 @@
 Commands (all take ``--store DIR``, default ``runs``):
 
 * ``list`` — every stored record: fingerprint, spec knobs, sample count,
-  median, monitor trips (invalid records are called out, never served);
-* ``show REF`` — one record in full: spec, stats, attribution bars,
-  monitor trips, artifact paths;
+  median, monitor trips, and ``current`` or ``stale`` by its
+  ``code_digest`` (invalid records are called out, never served);
+* ``show REF`` — one record in full: spec, code version (current or
+  stale), stats, attribution bars, monitor trips, artifact paths;
 * ``compare BASE NEW`` — paired-bootstrap verdict between two records
   (or a record and a committed ``BENCH_*.json#benchmark`` entry), with
   ``--json`` for the machine-readable document;
@@ -16,6 +17,9 @@ Commands (all take ``--store DIR``, default ``runs``):
   machine-readable series document;
 * ``drill REF`` — resolve a record to its Chrome trace / postmortem /
   report sidecars on disk.
+
+``compare``, ``attr-diff`` and ``trend`` print one ``STALE
+<fingerprint>`` line for each record they read that other code computed.
 
 ``REF`` is a fingerprint prefix (``3417``), a spec query
 (``workload=coll,mode=tree-nic,nodes=16``), or a baseline reference
@@ -32,10 +36,12 @@ from ..bench.compare import comparison_to_json, render_comparison
 from ..fleet.store import RunStore
 from .core import (
     attr_diff,
-    compare_refs,
+    compare_resolved,
     drill,
     list_table,
+    resolve,
     show_record,
+    stale_lines,
     trend_rows,
     trend_table,
 )
@@ -117,9 +123,11 @@ def main(argv=None) -> int:
         elif args.command == "show":
             print(show_record(store, args.ref))
         elif args.command == "compare":
-            comparison = compare_refs(
-                store, args.base, args.new,
-                threshold=args.threshold, n_boot=args.boot,
+            sides = [resolve(store, args.base), resolve(store, args.new)]
+            for line in stale_lines(s.fingerprint for s in sides if s.stale):
+                print(line)
+            comparison = compare_resolved(
+                *sides, threshold=args.threshold, n_boot=args.boot
             )
             print(render_comparison(comparison))
             if args.json_out:

@@ -15,6 +15,11 @@ The resolver (:func:`resolve`) turns a command-line *reference* into a
 Every comparison funnels through :func:`repro.bench.compare.compare_docs`
 — records embed a ``BENCH``-schema entry, so stored runs and committed
 baselines go down the *same* paired-bootstrap stats path.
+
+A record whose ``code_digest`` is absent or differs from the running
+code's was computed by other code.  It stays readable, but ``list``
+marks it ``stale``, and ``compare``, ``attr-diff`` and ``trend`` print
+one ``STALE <fingerprint>`` line for each such record they read.
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bench.compare import Comparison, compare_docs
 from ..bench.core import SCHEMA_VERSION, load_bench
 from ..fleet.catalog import ExperimentSpec
-from ..fleet.store import RunStore, StoreError
+from ..fleet.store import RunStore, StoreError, code_digest
 from ..study.report import format_bars, format_series, format_table
 
 __all__ = [
@@ -36,10 +41,13 @@ __all__ = [
     "list_table",
     "show_record",
     "compare_refs",
+    "compare_resolved",
     "attr_diff",
     "trend_rows",
     "trend_table",
     "drill",
+    "is_stale",
+    "stale_lines",
 ]
 
 
@@ -52,6 +60,23 @@ class Resolved:
     entry: Dict  # BENCH-schema benchmarks entry
     record: Optional[Dict] = None  # present for store records
     fingerprint: Optional[str] = None
+
+    @property
+    def stale(self) -> bool:
+        return self.record is not None and is_stale(self.record)
+
+
+def is_stale(record: Dict) -> bool:
+    """Whether ``record`` was computed by code other than the running code."""
+    return record.get("code_digest") != code_digest()
+
+
+def stale_lines(fingerprints: Iterable[str]) -> List[str]:
+    """The ``STALE <fingerprint>`` line of each stale record read."""
+    return [
+        f"STALE {fingerprint}: computed by other code (code_digest differs)"
+        for fingerprint in fingerprints
+    ]
 
 
 def _is_query(ref: str) -> bool:
@@ -179,6 +204,7 @@ def list_table(store: RunStore) -> str:
                 f"{entry['median']:.2f}" if entry else "-",
                 record.get("unit", "?"),
                 len(monitor.get("trips", [])),
+                "stale" if is_stale(record) else "current",
             ]
         )
     invalid = store.invalid()
@@ -186,7 +212,7 @@ def list_table(store: RunStore) -> str:
         table = format_table(
             f"Run store: {store.root} ({len(rows)} records)",
             ["fingerprint", "workload", "params", "nodes", "faults", "seed",
-             "n", "median", "unit", "trips"],
+             "n", "median", "unit", "trips", "code"],
             rows,
         )
     elif not invalid:
@@ -215,7 +241,8 @@ def show_record(store: RunStore, ref: str) -> str:
         parts.append(
             "spec: " + json.dumps(record["spec"], sort_keys=True)
         )
-        parts.append(f"code version: {record['code_version']}")
+        code = "stale" if resolved.stale else "current"
+        parts.append(f"code version: {record['code_version']} ({code})")
         if record.get("virtual_end_us"):
             parts.append(f"virtual end: {record['virtual_end_us']:.2f} us")
         if record.get("metrics"):
@@ -297,8 +324,19 @@ def compare_refs(
     n_boot: int = 2000,
 ) -> Comparison:
     """Paired-bootstrap comparison of any two references."""
-    base = resolve(store, base_ref)
-    new = resolve(store, new_ref)
+    return compare_resolved(
+        resolve(store, base_ref), resolve(store, new_ref),
+        threshold=threshold, n_boot=n_boot,
+    )
+
+
+def compare_resolved(
+    base: Resolved,
+    new: Resolved,
+    threshold: float = 0.05,
+    n_boot: int = 2000,
+) -> Comparison:
+    """Paired-bootstrap comparison of two resolved references."""
     name = base.name if base.name == new.name else f"{base.name}->{new.name}"
     return compare_docs(
         _mini_doc(new, name),
@@ -353,7 +391,8 @@ def attr_diff(store: RunStore, base_ref: str, new_ref: str) -> str:
          "base %", "new %", "d pp"],
         rows,
     )
-    lines = [table]
+    stale = stale_lines(side.fingerprint for side in (base, new) if side.stale)
+    lines = ["\n".join(stale), table] if stale else [table]
     base_total = sum(base_attr.values())
     new_total = sum(new_attr.values())
     lines.append(
@@ -389,14 +428,16 @@ def trend_rows(
     of the remaining knobs (params, platform, fault plan), which is how
     a ``mode=nx`` vs ``mode=tree-nic`` scaling sweep becomes two series
     of the same figure.  Returns ``{"workload", "x", "unit", "series":
-    {label: [[x_value, median], ...]}}`` — the shape behind both the
+    {label: [[x_value, median], ...]}, "stale": [fingerprint, ...]}`` —
+    the shape behind both the
     textual figure (:func:`trend_table`) and the HTML renderer's trend
     charts, and what ``repro.explore trend --json`` writes.
     """
     filters = filters or {}
     series: Dict[str, List[Tuple[object, float]]] = {}
+    stale: List[str] = []
     unit = "?"
-    for _fingerprint, record in store.records():
+    for fingerprint, record in store.records():
         if record["workload"] != workload:
             continue
         if filters and not _matches(record, filters):
@@ -422,6 +463,8 @@ def trend_rows(
                 knobs.append(f"{axis}={value}")
         label = " ".join(knobs) or workload
         series.setdefault(label, []).append((x_value, entry["median"]))
+        if is_stale(record):
+            stale.append(fingerprint)
     if not series:
         raise ValueError(
             f"no records of workload {workload!r} with samples match "
@@ -437,6 +480,7 @@ def trend_rows(
             label: [[x_value, median] for x_value, median in points]
             for label, points in series.items()
         },
+        "stale": stale,
     }
 
 
@@ -452,9 +496,10 @@ def trend_table(
         label: [(x_value, median) for x_value, median in points]
         for label, points in doc["series"].items()
     }
-    return format_series(
+    figure = format_series(
         f"Trend: {workload} median ({doc['unit']}) vs {x}", x, series
     )
+    return "\n".join(stale_lines(doc["stale"]) + [figure])
 
 
 # -- drill --------------------------------------------------------------

@@ -7,8 +7,9 @@ cheap to declare, run and keep:
 * :mod:`repro.fleet.catalog` — :class:`ExperimentSpec` (frozen,
   content-hash fingerprinted) and matrix expansion into a
   :class:`Catalog`;
-* :mod:`repro.fleet.workloads` — what a spec runs (collectives, pings,
-  the serving tier, any ``bench:`` benchmark, any ``study:`` family);
+* :mod:`repro.fleet.workloads` — the one workload registry: what a spec
+  runs (collectives, pings, the serving tier, the shard model, every
+  ``bench:`` benchmark, any ``study:`` family);
 * :mod:`repro.fleet.runner` — serial or multiprocess fan-out with
   resumable cache hits;
 * :mod:`repro.fleet.store` — ``runs/<fingerprint>/record.json`` plus
@@ -38,8 +39,8 @@ from .runner import RunOutcome, build_record, execute_spec, run_specs
 from .store import RECORD_SCHEMA, RunStore, StoreError
 from .workloads import (
     FAULT_PLANS,
-    FleetWorkload,
     WORKLOADS,
+    Workload,
     resolve_workload,
     workload_names,
 )
@@ -58,7 +59,7 @@ __all__ = [
     "run_specs",
     "execute_spec",
     "build_record",
-    "FleetWorkload",
+    "Workload",
     "WORKLOADS",
     "FAULT_PLANS",
     "resolve_workload",

@@ -138,12 +138,11 @@ def _cmd_list(args) -> int:
 
 def _cmd_workloads() -> int:
     print("workloads:")
+    width = max(len(name) for name in WORKLOADS) + 1
     for name, workload in sorted(WORKLOADS.items()):
-        print(f"  {name:<8}{workload.description}")
-    print("  bench:<name>   any benchmark in repro.bench (see `python -m "
-          "repro.bench run --help`)")
-    print("  study:<family> any study family (see `python -m repro.study "
-          "--list`)")
+        print(f"  {name:<{width}}{workload.description}")
+    print(f"  {'study:<family>':<{width}}any study family (see "
+          "`python -m repro.study --list`)")
     print("\nfault plans:")
     for name, knobs in FAULT_PLANS.items():
         print(f"  {name:<10}{knobs if knobs is not None else 'perfect fabric'}")

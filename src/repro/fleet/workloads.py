@@ -1,18 +1,18 @@
 """Fleet workloads: what one :class:`ExperimentSpec` actually runs.
 
-Every workload maps a spec to a :class:`repro.bench.core.BenchRun` —
-virtual-time samples, a critical-path attribution vector, the telemetry
-collector (for the Chrome-trace sidecar), the health monitor's trips,
-and any rendered report text.  Unit and direction are stated once, on
-the registered :class:`FleetWorkload`.  The measured workloads are the
-benchmark drivers of :mod:`repro.bench.workloads`, run on the spec's
-machine:
+One registry, :data:`WORKLOADS`, maps a spec's ``workload`` name to a
+:class:`Workload`: unit, direction, description and the spec ->
+:class:`repro.bench.core.BenchRun` runner (virtual-time samples, a
+critical-path attribution vector, the telemetry collector for the
+Chrome-trace sidecar, the health monitor, scalar metrics and any
+rendered report text).  The parametric workloads:
 
-* ``coll`` — the collectives study's barrier (the mode → NX-world
-  policy is :func:`repro.study.collectives.nx_barrier`): ``mode`` ∈
-  ``nx`` / ``tree-host`` / ``tree-nic`` barriers on ``spec.nodes``
-  ranks, samples = per-operation barrier span durations, attribution
-  from :func:`repro.telemetry.critpath.aggregate`.
+* ``coll`` — the collectives study's cell (the mode → NX-world policy is
+  :func:`repro.study.collectives.nx_barrier`): on ``spec.nodes`` ranks,
+  a warm-up barrier, ``ops`` barriers, then ``ops`` allreduces.  Samples
+  are the per-operation barrier span durations, attribution from
+  :func:`repro.telemetry.critpath.aggregate`; ``barrier_us``,
+  ``allreduce_us`` and ``coll_packets`` land in ``metrics``.
 * ``ping`` — :func:`repro.bench.workloads.ping_run`: ``spec.nodes - 1``
   senders streaming into node 0, samples = ``vmmc.send`` span durations.
 * ``serve`` — :func:`repro.bench.workloads.serve_run`; samples =
@@ -22,16 +22,17 @@ machine:
   ``spec.nodes``; samples = per-delivery latencies in virtual time,
   counters in ``metrics``.  Worker count never changes the result (the
   shard determinism contract), so records stay reproducible.
-* ``bench:<name>`` — any benchmark registered in
-  :data:`repro.bench.core.REGISTRY`, run at ``spec.seed``.
-* ``study:<family>`` — a :data:`repro.study.__main__.FAMILIES` entry;
-  the rendered tables become the record's ``report.txt`` artifact.
+
+The benchmark catalog (:mod:`repro.bench.workloads`) registers one
+``bench:<name>`` entry per benchmark when this module is imported: a
+named spec of the workloads above run at ``spec.seed``, or a fixed
+workload for the runners with no parametric spelling.  ``study:<family>``
+resolves lazily to a :data:`repro.study.__main__.FAMILIES` entry; the
+rendered tables become the record's ``report.txt`` artifact.
 
 Platforms come from :mod:`repro.study.platforms`; fault plans are the
 named entries of :data:`FAULT_PLANS` so a catalog can say
-``"fault_plan": ["none", "drop1"]`` and stay declarative.  Imports of
-the simulator stay inside the runners: ``import repro`` imports this
-module.
+``"fault_plan": ["none", "drop1"]`` and stay declarative.
 """
 
 from __future__ import annotations
@@ -44,17 +45,18 @@ if TYPE_CHECKING:
     from .catalog import ExperimentSpec
 
 __all__ = [
-    "FleetWorkload",
+    "Workload",
     "WORKLOADS",
     "FAULT_PLANS",
     "PLATFORMS",
+    "register",
     "resolve_workload",
     "workload_names",
 ]
 
 
 @dataclass(frozen=True)
-class FleetWorkload:
+class Workload:
     """A registered workload: metadata plus the spec -> result runner."""
 
     name: str
@@ -69,6 +71,7 @@ class FleetWorkload:
 FAULT_PLANS: Dict[str, Optional[dict]] = {
     "none": None,
     "drop1": {"drop_rate": 0.01},
+    "drop10": {"drop_rate": 0.1},
     "corrupt1": {"corrupt_rate": 0.01},
     "outage": {"link_outages": 1, "outage_duration_us": 500.0},
     "rxdiscard": {"rx_overflow_discard": True},
@@ -132,6 +135,7 @@ def _run_coll(spec) -> BenchRun:
     coll, span_name = nx_barrier(spec.param("mode", "tree-nic"))
     machine = _machine(spec, spec.nodes)
     world = NXWorld(VMMCRuntime(machine), spec.nodes, coll=coll)
+    marks: Dict[str, float] = {}
 
     def worker(rank: int):
         nx = yield from world.join(rank, machine.create_process(rank))
@@ -140,6 +144,13 @@ def _run_coll(spec) -> BenchRun:
         yield from nx.gsync()
         for _ in range(ops):
             yield from nx.gsync()
+        if rank == 0:
+            marks["mid"] = machine.now
+        for i in range(ops):
+            yield from nx.allreduce(float(rank + i), lambda a, b: a + b,
+                                    name="sum")
+        if rank == 0:
+            marks["end"] = machine.now
 
     for rank in range(spec.nodes):
         machine.sim.spawn(worker(rank), f"fleet.coll.r{rank}")
@@ -147,7 +158,11 @@ def _run_coll(spec) -> BenchRun:
     return measure_spans(
         machine,
         span_name,
+        mean_as="barrier_us",
         metrics={
+            "allreduce_us": (
+                (marks["end"] - marks["mid"]) / ops if ops else 0.0
+            ),
             "coll_packets": float(
                 machine.stats.counter_value("coll.packets")
             ),
@@ -203,7 +218,7 @@ def _run_shard(spec) -> BenchRun:
     from ..bench.core import BenchRun
     from ..shard import run_serial, run_sharded, spec_for_nodes
 
-    _require_defaults(spec, nodes_free=True)
+    require_defaults(spec, nodes_free=True)
     workers = int(spec.param("workers", 1))
     shard_spec = spec_for_nodes(
         spec.nodes,
@@ -230,7 +245,7 @@ def _run_shard(spec) -> BenchRun:
     )
 
 
-def _require_defaults(spec, *, nodes_free: bool = False) -> None:
+def require_defaults(spec, *, nodes_free: bool = False) -> None:
     """``bench:``/``study:``/``shard`` entry points own their machines: the
     spec's platform/fault axes (and for ``bench:`` the node count) must stay
     at their defaults rather than being silently ignored."""
@@ -249,28 +264,12 @@ def _require_defaults(spec, *, nodes_free: bool = False) -> None:
         )
 
 
-def _bench_spec(workload: str):
-    """The registered benchmark a ``bench:<name>`` workload names."""
-    from ..bench.core import select
-
-    return select([workload.split(":", 1)[1]])[0]
-
-
-def _run_bench(spec) -> BenchRun:
-    _require_defaults(spec)
-    bench_spec = _bench_spec(spec.workload)
-    run = bench_spec.runner(spec.seed)
-    if not run.samples:
-        raise RuntimeError(f"benchmark {bench_spec.name} produced no samples")
-    return run
-
-
 def _run_study(spec) -> BenchRun:
     from ..bench.core import BenchRun
     from ..study import default_runner
     from ..study.__main__ import FAMILIES
 
-    _require_defaults(spec, nodes_free=True)
+    require_defaults(spec, nodes_free=True)
     family = spec.workload.split(":", 1)[1]
     if family not in FAMILIES:
         raise ValueError(
@@ -281,38 +280,42 @@ def _run_study(spec) -> BenchRun:
     return BenchRun(samples=[], report=text)
 
 
-#: Directly registered workloads (the ``bench:``/``study:`` prefixes are
-#: resolved dynamically against their own registries).
-WORKLOADS: Dict[str, FleetWorkload] = {}
+#: name -> workload: the parametric workloads below, then one
+#: ``bench:<name>`` entry per benchmark of :mod:`repro.bench.workloads`.
+WORKLOADS: Dict[str, Workload] = {}
 
 
-def _register(workload: FleetWorkload) -> None:
+def register(workload: Workload) -> Workload:
+    if workload.name in WORKLOADS:
+        raise ValueError(f"duplicate workload {workload.name!r}")
     WORKLOADS[workload.name] = workload
+    return workload
 
 
-_register(
-    FleetWorkload(
+register(
+    Workload(
         "coll", "us", False,
-        "barrier latency: mode=nx|tree-host|tree-nic, ops=N",
+        "barrier latency, then an allreduce leg: "
+        "mode=nx|tree-host|tree-nic, ops=N",
         _run_coll,
     )
 )
-_register(
-    FleetWorkload(
+register(
+    Workload(
         "ping", "us", False,
         "(nodes-1)-to-1 vmmc sends: nbytes=N, ops=N, reliable=0|1",
         _run_ping,
     )
 )
-_register(
-    FleetWorkload(
+register(
+    Workload(
         "serve", "us", False,
         "serving-tier request latency: balancer=..., rps=..., duration_us=...",
         _run_serve,
     )
 )
-_register(
-    FleetWorkload(
+register(
+    Workload(
         "shard", "us", False,
         "large-mesh packet latency: pattern=..., duration_us=..., workers=N",
         _run_shard,
@@ -320,27 +323,26 @@ _register(
 )
 
 
-def resolve_workload(name: str) -> FleetWorkload:
+def resolve_workload(name: str) -> Workload:
     """The workload for a spec's ``workload`` field."""
-    if name in WORKLOADS:
-        return WORKLOADS[name]
-    if name.startswith("bench:"):
-        bench_spec = _bench_spec(name)
-        return FleetWorkload(
-            name, bench_spec.unit, bench_spec.higher_is_better,
-            bench_spec.description, _run_bench,
-        )
     if name.startswith("study:"):
-        return FleetWorkload(
+        return Workload(
             name, "report", False, "study family report (see repro.study)",
             _run_study,
         )
-    raise ValueError(
-        f"unknown workload {name!r}; registered: {sorted(WORKLOADS)}, "
-        "plus bench:<benchmark> and study:<family>"
-    )
+    if name not in WORKLOADS:
+        raise ValueError(
+            f"unknown workload {name!r}; registered: {sorted(WORKLOADS)}, "
+            "plus study:<family>"
+        )
+    return WORKLOADS[name]
 
 
 def workload_names() -> List[str]:
-    """Registered workload names plus the dynamic prefixes."""
-    return sorted(WORKLOADS) + ["bench:<name>", "study:<family>"]
+    """Registered workload names plus the ``study:`` prefix."""
+    return sorted(WORKLOADS) + ["study:<family>"]
+
+
+# Last, so that the catalog finds ``register`` and the parametric
+# workloads its benchmarks are spelled in.
+from ..bench import workloads as _benchmarks  # noqa: E402,F401

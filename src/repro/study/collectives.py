@@ -30,10 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..coll import CollConfig
-from ..msg import NXWorld
-from ..node import Machine
 from ..telemetry.critpath import aggregate
-from ..vmmc import VMMCRuntime
 from .report import format_table
 
 __all__ = [
@@ -63,48 +60,25 @@ def nx_barrier(mode: str) -> Tuple[Optional[CollConfig], str]:
 
 
 def coll_cell(mode: str, nodes: int, ops: int = 8, seed: int = 1998) -> Dict:
-    """One cell: ``ops`` barriers then ``ops`` allreduces on ``nodes`` ranks."""
-    coll, barrier_span = nx_barrier(mode)
-    machine = Machine(num_nodes=nodes, seed=seed, telemetry=True)
-    world = NXWorld(VMMCRuntime(machine), nodes, coll=coll)
-    marks: Dict[str, float] = {}
+    """One cell: a view over the fleet ``coll`` run of ``mode`` on
+    ``nodes`` ranks (``ops`` barriers then ``ops`` allreduces)."""
+    from ..fleet import make_spec, resolve_workload
 
-    def worker(rank: int):
-        nx = yield from world.join(rank, machine.create_process(rank))
-        # Warmup barrier: absorbs the join rendezvous skew so the measured
-        # operations start from a common front.
-        yield from nx.gsync()
-        if rank == 0:
-            marks["start"] = machine.now
-        for _ in range(ops):
-            yield from nx.gsync()
-        if rank == 0:
-            marks["mid"] = machine.now
-        for i in range(ops):
-            yield from nx.allreduce(float(rank + i), lambda a, b: a + b,
-                                    name="sum")
-        if rank == 0:
-            marks["end"] = machine.now
-
-    for rank in range(nodes):
-        machine.sim.spawn(worker(rank), f"coll.study.r{rank}")
-    machine.sim.run()
-
-    tel = machine.telemetry
-    agg = aggregate(tel, barrier_span, top=0)
-    barrier_us = agg.total_us / agg.count if agg.count else 0.0
+    spec = make_spec("coll", nodes=nodes, seed=seed, mode=mode, ops=ops)
+    run = resolve_workload("coll").run(spec)
+    agg = aggregate(run.telemetry, nx_barrier(mode)[1], top=0)
     return {
         "mode": mode,
         "nodes": nodes,
-        "ops": agg.count,
-        "barrier_us": barrier_us,
-        "allreduce_us": (marks["end"] - marks["mid"]) / ops,
+        "ops": run.ops,
+        "barrier_us": run.metrics["barrier_us"],
+        "allreduce_us": run.metrics["allreduce_us"],
         "cpu_pct": 100.0 * agg.fraction("cpu"),
         "notify_pct": 100.0 * agg.fraction("notify"),
         "nic_dma_pct": 100.0 * agg.fraction("nic_dma"),
         "link_pct": 100.0 * agg.fraction("link"),
         "sync_pct": 100.0 * agg.fraction("sync"),
-        "coll_packets": machine.stats.counter_value("coll.packets"),
+        "coll_packets": run.metrics["coll_packets"],
     }
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.bench import (
-    REGISTRY,
+    CATALOG,
     bootstrap_median_diff,
     compare_docs,
     load_bench,
@@ -47,7 +47,7 @@ def test_registry_has_curated_set():
     assert {
         "du_word_latency", "du_bulk_bandwidth", "du_ping_word",
         "du_fanin_4k", "rel_ping_lossy", "radix_vmmc_du",
-    } <= set(REGISTRY)
+    } <= {row.name for row in CATALOG}
 
 
 def test_select_quick_excludes_apps_and_validates_names():

@@ -192,6 +192,48 @@ def test_drill_resolves_artifacts(store):
         drill(store, "benchmarks/baseline/BENCH_seed.json#du_ping_word")
 
 
+def test_stale_records_are_marked_and_stay_readable(store, tmp_path, capsys):
+    """A record whose code digest differs from the running code's is
+    listed as stale and called out once by each command that reads it."""
+    import shutil
+
+    from repro.fleet.store import dumps_record
+
+    root = tmp_path / "runs"
+    shutil.copytree(store.root, root)
+    other = RunStore(str(root))
+    record = other.load(SPEC_NX.fingerprint)
+    record["code_digest"] = "0" * 64
+    with open(other.record_path(SPEC_NX.fingerprint), "w") as fh:
+        fh.write(dumps_record(record))
+
+    rows = {
+        line.split()[0]: line.split()
+        for line in list_table(other).splitlines()
+        if line.split() and len(line.split()[0]) == 16
+    }
+    assert rows[SPEC_NX.fingerprint][-1] == "stale"
+    for spec in (SPEC_NIC, SPEC_NIC8, SPEC_STUDY):
+        assert rows[spec.fingerprint][-1] == "current"
+    assert "(stale)" in show_record(other, SPEC_NX.fingerprint)
+    assert "(current)" in show_record(other, SPEC_NIC.fingerprint)
+
+    nx = "workload=coll,mode=nx,nodes=4"
+    nic = "workload=coll,mode=tree-nic,nodes=4"
+    for argv in (
+        ["compare", nx, nic, "--boot", "200"],
+        ["attr-diff", nx, nic],
+        ["trend", "--workload", "coll"],
+    ):
+        assert explore_main(["--store", str(root)] + argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out.count("STALE ") == 1, argv
+        assert f"STALE {SPEC_NX.fingerprint}" in out, argv
+    # The clean store has nothing to call out.
+    assert explore_main(["--store", store.root, "attr-diff", nx, nic]) == 0
+    assert "STALE" not in capsys.readouterr().out
+
+
 # -- CLI -----------------------------------------------------------------
 
 

@@ -10,7 +10,10 @@ The load-bearing properties pinned here:
 * a corrupted or partially-written record, or one computed by other
   code, is detected and re-run, never served;
 * a worker process that dies fails its specs instead of hanging the run;
-* the ``ping`` and ``serve`` workloads are the benchmark drivers.
+* a benchmark is a fleet spec: the ``bench:`` records of the pings and
+  ``serve_request_latency`` carry the committed baselines' seed-1998
+  samples;
+* spec fingerprints and the ``coll`` barrier results are pinned.
 """
 
 import json
@@ -31,7 +34,6 @@ from repro.fleet import (
     make_spec,
     run_specs,
 )
-from repro.bench.core import make_entry, select
 from repro.fleet import workloads
 from repro.fleet.runner import build_record, execute_spec
 from repro.fleet.store import code_digest, dumps_record
@@ -351,7 +353,7 @@ def test_dead_worker_fails_its_specs_instead_of_hanging(tmp_path, monkeypatch):
     monkeypatch.setitem(
         workloads.WORKLOADS,
         "die",
-        workloads.FleetWorkload(
+        workloads.Workload(
             "die", "us", False, "exits its worker process",
             lambda spec: os._exit(1),
         ),
@@ -376,38 +378,108 @@ def test_dead_worker_fails_its_specs_instead_of_hanging(tmp_path, monkeypatch):
     assert store.status(dying) == "miss"
 
 
-# -- the fleet runs the benchmark drivers --------------------------------
+# -- benchmarks are fleet specs ------------------------------------------
+
+_BASELINE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks", "baseline"
+)
 
 
-def _bench_run(name):
-    return select([name])[0].runner(1998)
+def _seed_1998_samples(tmp_path, baseline, bench):
+    """The ``bench:<bench>`` record's samples at seed 1998, and the
+    committed baseline's samples (seeds 1998, 1999, 2000 pooled in order,
+    so seed 1998's are the leading run of them)."""
+    store = RunStore(str(tmp_path / "runs"))
+    spec = make_spec(f"bench:{bench}")
+    execute_spec(spec, store)
+    record = store.load(spec.fingerprint)
+    with open(os.path.join(_BASELINE, baseline), encoding="utf-8") as fh:
+        committed = json.load(fh)["benchmarks"][bench]
+    samples = record["bench"]["samples"]
+    return record, samples, committed["samples"][: len(samples)]
 
 
 @pytest.mark.parametrize(
     "nodes, bench", [(2, "du_ping_4k"), (4, "du_fanin_4k")]
 )
-def test_fleet_ping_is_the_bench_ping(nodes, bench):
+def test_fleet_ping_is_the_bench_ping(tmp_path, nodes, bench):
+    record, samples, committed = _seed_1998_samples(
+        tmp_path, "BENCH_seed.json", bench
+    )
+    assert len(samples) == 8 * (nodes - 1)
+    assert samples == committed
+    # The same run, spelled as a parametric ping spec.
     spec = make_spec("ping", nodes=nodes, nbytes=4096, ops=9, seed=1998)
-    run = resolve_workload("ping").run(spec)
-    expected = _bench_run(bench)
-    assert run.samples == expected.samples
-    assert run.attribution == expected.attribution
-    assert run.ops == expected.ops
+    assert resolve_workload("ping").run(spec).samples == samples
 
 
 def test_fleet_serve_is_the_bench_serve(tmp_path):
-    store = RunStore(str(tmp_path / "runs"))
-    spec = make_spec("serve", nodes=4, seed=1998)
-    execute_spec(spec, store)
-    record = store.load(spec.fingerprint)
-    expected = _bench_run("serve_request_latency")
-    entry = make_entry(
-        "us", False, expected.samples, expected.attribution, expected.ops
+    record, samples, committed = _seed_1998_samples(
+        tmp_path, "BENCH_serve.json", "serve_request_latency"
     )
-    assert record["bench"]["samples"] == entry["samples"]
-    assert record["bench"]["attribution"] == entry["attribution"]
+    assert len(samples) == 201
+    assert samples == committed
     metrics = record["metrics"]
     assert (metrics["ok"], metrics["late"], metrics["failed"]) == (
         201.0, 0.0, 0.0,
     )
-    assert store.artifact_path(record, "report")
+    assert RunStore(str(tmp_path / "runs")).artifact_path(record, "report")
+
+
+# -- identities pinned against drift -------------------------------------
+
+#: Fingerprints are on-disk identities (``runs/<fingerprint>/``).
+MATRIX_FINGERPRINTS = {
+    "smoke": [
+        "fca9696613a4aaec", "cedaf6cb850aa1e8",
+        "82cf6bdc38c29634", "3417385c87b836f3",
+    ],
+    "coll16": ["82cf6bdc38c29634", "5879ca6d03ad6352", "3417385c87b836f3"],
+    "scaling": [
+        "e5cdc4d4c441b122", "cedaf6cb850aa1e8",
+        "3417385c87b836f3", "390450796308fa65",
+    ],
+    "largemesh": [
+        "8cb934301d1212ef", "a1c440e39d35156e",
+        "d43c4219cdbd2f37", "a96aa9fb4c75de34",
+    ],
+}
+SPEC_FINGERPRINTS = {
+    "bench:du_ping_4k": "1d18231ca12d5c32",
+    "bench:rel_ping_lossy": "9e9afb43467d553b",
+    "bench:du_word_latency": "bb8d2d226226ed63",
+    "study:micro": "7fd52a567cb9c686",
+}
+
+
+def test_builtin_and_bench_fingerprints_are_pinned():
+    for name, fingerprints in MATRIX_FINGERPRINTS.items():
+        assert [s.fingerprint for s in load_catalog(name)] == fingerprints
+    for workload, fingerprint in SPEC_FINGERPRINTS.items():
+        assert make_spec(workload).fingerprint == fingerprint
+
+
+#: sha256 of the barrier samples, attribution and op count of fleet
+#: ``coll`` at 4 nodes, ``ops=4`` (16 samples over 20 ops: one warm-up
+#: barrier per rank is dropped from the samples).
+COLL_BARRIER_SHA256 = {
+    "nx": "03d2622bb4dd1be970ee56c336478a9ab4707da60810a1d743ada64c0ff4b8d1",
+    "tree-nic":
+        "553511e19e2b529d46eff3a59756c9ad34edcc21abff9fdc53e6c284faf6487d",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(COLL_BARRIER_SHA256))
+def test_fleet_coll_barrier_is_pinned(mode):
+    import hashlib
+
+    spec = make_spec("coll", nodes=4, mode=mode, ops=4)
+    run = resolve_workload("coll").run(spec)
+    assert (run.ops, len(run.samples)) == (20, 16)
+    doc = {
+        "samples": run.samples,
+        "attribution": run.attribution,
+        "ops": run.ops,
+    }
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == COLL_BARRIER_SHA256[mode]

@@ -167,3 +167,35 @@ def test_study_cli_rejects_unknown(capsys):
 
     with pytest.raises(SystemExit):
         main(["table99"])
+
+
+# ------------------------------------------------------------ top level --
+
+def test_import_repro_is_lazy_and_every_export_resolves():
+    """``import repro`` loads no subpackage; each ``__all__`` name loads
+    its own on first use (run in a fresh interpreter)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    script = (
+        "import sys, repro\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+        "assert not loaded, loaded\n"
+        "missing = [n for n in repro.__all__\n"
+        "           if getattr(repro, n, None) is None]\n"
+        "assert not missing, missing\n"
+        "from repro import Machine, ServeCluster, ServeConfig, VMMCRuntime\n"
+        "assert Machine.__module__.startswith('repro.node')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    with pytest.raises(AttributeError):
+        repro.no_such_export
